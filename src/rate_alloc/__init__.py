@@ -72,7 +72,7 @@ from .multistage import (
 )
 from .sensing import (
     MeasurementMatrix,
-    MeasurementRecord,
+    Measurements,
     adjoint_reconstruct,
     build_matrix,
     psnr,

@@ -14,8 +14,8 @@ import dataclasses
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +35,15 @@ class VerificationFailure(Exception):
 
 
 def _write_atomic(path: Path, data) -> None:
-    """Write via temp file + rename so readers never see partial output."""
+    """Write via temp file + rename so readers never see partial output.
+
+    The temp file is created with mode 0o666, which the system narrows by
+    the umask, so outputs get the permissions of any new file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = data if isinstance(data, bytes) else data.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
@@ -222,18 +227,20 @@ def cmd_compare(args) -> int:
     coeffs = imaging.dct2_blocks(grid.blocks)
     true_bounds = analysis.bounds_profile(coeffs, adaptive.threshold).per_block_m
 
-    def evaluate(counts):
-        records = sensing.sample_plan(grid, counts, matrix)
+    def evaluate(records):
         recon = sensing.reconstruct_plan(adaptive, records, matrix, image.height, image.width)
         return sensing.psnr(image, recon)
 
+    def sample(counts):
+        return evaluate(sensing.sample_plan(grid, counts, matrix))
+
     rows = [
-        ("uniform", uniform.total_budget, evaluate(uniform.per_block_M), uniform.per_block_M),
-        ("single-stage", adaptive.total_budget, evaluate(adaptive.per_block_M), adaptive.per_block_M),
+        ("uniform", uniform.total_budget, sample(uniform.per_block_M), uniform.per_block_M),
+        ("single-stage", adaptive.total_budget, sample(adaptive.per_block_M), adaptive.per_block_M),
         (
             f"multi-{args.stages}",
             multi.total_measurements,
-            evaluate(multi.final_M),
+            evaluate(multi.records),
             multi.final_M,
         ),
     ]

@@ -30,9 +30,9 @@ from .analysis import (
     solve_threshold,
     target_sparsity_ratio,
 )
-from .imaging import Image, dct2_blocks, partition, vectorize
+from .imaging import Image, dct2_blocks, partition
 from .kl_solver import KlAllocProblem, KlAllocSolution, solve
-from .sensing import MeasurementMatrix, MeasurementRecord, Segment, sample_rows
+from .sensing import MeasurementMatrix, Measurements, sample_rows
 
 PREDICTION_FLOOR = 1e-9
 
@@ -44,6 +44,14 @@ def stage_rate(t: int, stages: int, s_r: float, allocated_so_far: int, pixels: i
     if t == 1:
         return s_r / stages
     return max(t * s_r / stages - allocated_so_far / pixels, 0.0)
+
+
+def _max_stages(s_r: float, pixels: int, blocks: int) -> int:
+    """Most stages whose stage-1 budget still reaches every block (1 if none)."""
+    stages = int(s_r * pixels / (blocks - 0.5)) + 1
+    while stages > 1 and round_half_up(stage_rate(1, stages, s_r, 0, pixels) * pixels) < blocks:
+        stages -= 1
+    return stages
 
 
 def mixing_coeffs(t: int, stages: int, s_r: float, allocated_so_far: int, pixels: int):
@@ -103,22 +111,20 @@ def predict_bounds_energy(padded_measurements: np.ndarray, stage_M_so_far: int) 
     return max(spread, PREDICTION_FLOOR)
 
 
-@dataclass(frozen=True)
-class PredictionContext:
-    block_index: int
-    measured_count: int
-    stage: int
-
-
 class BoundsPredictor:
-    """Per-block measurement-bound predictor fed zero-padded measurements."""
+    """Measurement-bound predictor for every block at once."""
 
     name = "base"
 
-    def begin_run(self, coeff_blocks: np.ndarray, threshold: float) -> None:
-        """Hook called once per simulation before any prediction."""
+    def begin_run(self, true_bounds: np.ndarray) -> None:
+        """Called once per run before any prediction; only the oracle uses `true_bounds`."""
 
-    def predict(self, padded_measurements: np.ndarray, context: PredictionContext) -> float:
+    def predict(self, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Predicted bounds, shape (blocks,), from the measurements so far.
+
+        Block i's are values[i, :counts[i]]; later columns may already hold
+        rows not yet allotted to it, so a predictor reads only that prefix.
+        """
         raise NotImplementedError
 
 
@@ -130,20 +136,26 @@ class OracleBoundsPredictor(BoundsPredictor):
     def __init__(self):
         self._bounds = None
 
-    def begin_run(self, coeff_blocks, threshold):
-        self._bounds = [predict_bounds_oracle(c, threshold) for c in coeff_blocks]
+    def begin_run(self, true_bounds):
+        self._bounds = true_bounds
 
-    def predict(self, padded_measurements, context):
-        return self._bounds[context.block_index]
+    def predict(self, values, counts):
+        return self._bounds
 
 
 class EnergyBoundsPredictor(BoundsPredictor):
-    """Measurement-only heuristic predictor."""
+    """Measurement-only heuristic predictor: `predict_bounds_energy` per block."""
 
     name = "energy"
 
-    def predict(self, padded_measurements, context):
-        return predict_bounds_energy(padded_measurements, context.measured_count)
+    def predict(self, values, counts):
+        predicted = np.full(counts.size, PREDICTION_FLOOR)
+        # one reduction per distinct count; counts below 2 leave no AC entry
+        for count in np.unique(counts[counts >= 2]):
+            idx = np.flatnonzero(counts == count)
+            spread = np.std(values[idx, 1:count], axis=1)
+            predicted[idx] = np.maximum(spread, PREDICTION_FLOOR)
+        return predicted
 
 
 PREDICTORS = {"oracle": OracleBoundsPredictor, "energy": EnergyBoundsPredictor}
@@ -201,7 +213,7 @@ class MultiStagePlan:
     stages: tuple  # of StageState
     final_M: np.ndarray
     diagnostics: tuple  # per stage: (cross_entropy, kl) or None
-    records: tuple  # of MeasurementRecord
+    records: Measurements
     threshold: float
 
     def __post_init__(self):
@@ -238,25 +250,37 @@ def run_simulation(
     if matrix.dim != dim:
         raise ValueError("operator size does not match the block size")
 
+    # stage 1: uniform; per-block baseline floor(s_r^1 * B^2), topped up by
+    # apportionment so the stage budget is hit exactly (checked before any analysis)
+    rate1 = stage_rate(1, stages, s_r, 0, pixels)
+    budget1 = round_half_up(rate1 * pixels)
+    if stages > 1 and budget1 < n:
+        raise ValueError(
+            f"stage-1 budget {budget1} is below the block count {n}; at rate {s_r} and block "
+            f"size {block_size} this image allows at most {_max_stages(s_r, pixels, n)} stage(s)"
+        )
+
     coeffs = dct2_blocks(grid.blocks)
     threshold = solve_threshold(coeffs, target_sparsity_ratio(s_r, curve))
     true_bounds = bounds_profile(coeffs, threshold).per_block_m
-    predictor.begin_run(coeffs, threshold)
-    vectors = [vectorize(b) for b in grid.blocks]
+    predictor.begin_run(true_bounds)
 
+    # every block uses the operator's rows in native order, so column j of `values`
+    # is row j+1 applied to all blocks; a stage computes only columns not yet reached
+    blocks = grid.blocks.reshape(n, dim)
+    values = np.zeros((n, dim))
+    sampled = 0
     cumulative = np.zeros(n, dtype=np.int64)
-    segments = [[] for _ in range(n)]
     stage_states = []
     diagnostics = []
 
     def run_stage(t, counts, rate, budget, alpha, beta, predicted, problem, solution):
-        nonlocal cumulative
-        for i in range(n):
-            start = int(cumulative[i]) + 1
-            end = int(cumulative[i]) + int(counts[i])
-            values = sample_rows(matrix, start, end, vectors[i])
-            segments[i].append(Segment(stage=t, row_start=start, row_end=end, values=values))
+        nonlocal cumulative, sampled
         cumulative = cumulative + counts
+        top = int(cumulative.max())
+        if top > sampled:
+            values[:, sampled:top] = sample_rows(matrix, sampled + 1, top, blocks)
+            sampled = top
         stage_states.append(
             StageState(
                 stage_index=t,
@@ -272,15 +296,6 @@ def run_simulation(
             )
         )
 
-    # stage 1: uniform; per-block baseline floor(s_r^1 * B^2), topped up by
-    # apportionment so the stage budget is hit exactly
-    rate1 = stage_rate(1, stages, s_r, 0, pixels)
-    budget1 = round_half_up(rate1 * pixels)
-    if stages > 1 and budget1 < n:
-        raise ValueError(
-            f"stage-1 budget {budget1} is below the block count {n}; "
-            "raise the rate or use fewer stages"
-        )
     counts1 = apportion(np.full(n, budget1 / n), budget1, dim)
     run_stage(1, counts1, rate1, budget1, 1.0, 0.0, None, None, None)
     diagnostics.append(None)
@@ -295,13 +310,7 @@ def run_simulation(
             diagnostics.append(None)
             continue
 
-        predicted = np.empty(n)
-        for i in range(n):
-            padded = np.zeros(dim)
-            taken = np.concatenate([seg.values for seg in segments[i]]) if segments[i] else np.empty(0)
-            padded[: taken.size] = taken
-            context = PredictionContext(block_index=i, measured_count=int(cumulative[i]), stage=t)
-            predicted[i] = predictor.predict(padded, context)
+        predicted = np.asarray(predictor.predict(values, cumulative), dtype=np.float64)
         if true_bounds.sum() > 0:
             diagnostics.append(kl_diagnostic(true_bounds, predicted))
         else:
@@ -318,9 +327,7 @@ def run_simulation(
         counts_t = apportion(budget_t * solution.q, budget_t, dim - cumulative)
         run_stage(t, counts_t, rate_t, budget_t, alpha, beta, predicted, problem, solution)
 
-    records = tuple(
-        MeasurementRecord(block_index=i, segments=tuple(segments[i])) for i in range(n)
-    )
+    values[np.arange(dim) >= cumulative[:, None]] = 0.0  # rows computed past a block's count
     return MultiStagePlan(
         block_size=block_size,
         grid_rows=grid.rows,
@@ -329,6 +336,6 @@ def run_simulation(
         stages=tuple(stage_states),
         final_M=cumulative,
         diagnostics=tuple(diagnostics),
-        records=records,
+        records=Measurements(values, cumulative),
         threshold=threshold,
     )

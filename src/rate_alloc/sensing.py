@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import BlockGrid, Image, assemble, devectorize, vectorize
+from .imaging import BlockGrid, Image, assemble
 
 _MAGIC = b"MBRM"
 _FORMAT_VERSION = 1
@@ -42,44 +42,30 @@ class MeasurementMatrix:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Measurements taken from one contiguous row range (1-based, inclusive)."""
+class Measurements:
+    """Every block's measurements, one row per block.
 
-    stage: int
-    row_start: int
-    row_end: int
+    values[i, :counts[i]] are rows 1..counts[i] of the operator applied to
+    block i; `values` is (blocks, dim) and exactly zero beyond each count,
+    and `counts` is int64 with each count in [0, dim].
+    """
+
     values: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.size != self.row_end - self.row_start + 1:
-            raise ValueError("segment length does not match its row range")
-        values.setflags(write=False)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if values.ndim != 2 or counts.shape != values.shape[:1]:
+            raise ValueError(f"values {values.shape} need one count per row, not {counts.shape}")
+        if counts.size and (counts.min() < 0 or counts.max() > values.shape[1]):
+            raise ValueError(f"counts must lie in [0, {values.shape[1]}]")
+        if np.any(values, where=np.arange(values.shape[1]) >= counts[:, None]):
+            raise ValueError("values beyond a block's count must be zero")
+        for arr in (values, counts):
+            arr.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """All measurements of one block, stage segments in sampling order."""
-
-    block_index: int
-    segments: tuple
-
-    def __post_init__(self):
-        expected_start = 1
-        for seg in self.segments:
-            if seg.row_start != expected_start:
-                raise ValueError("segments must be contiguous from row 1")
-            expected_start = seg.row_end + 1
-
-    @property
-    def measured_count(self) -> int:
-        return sum(seg.values.size for seg in self.segments)
-
-    def concatenated(self) -> np.ndarray:
-        if not self.segments:
-            return np.empty(0)
-        return np.concatenate([seg.values for seg in self.segments])
+        object.__setattr__(self, "counts", counts)
 
 
 def build_matrix(block_size: int, seed: int) -> MeasurementMatrix:
@@ -111,69 +97,73 @@ def build_matrix(block_size: int, seed: int) -> MeasurementMatrix:
 def sample_rows(
     matrix: MeasurementMatrix, row_start: int, row_end: int, block_vector: np.ndarray
 ) -> np.ndarray:
-    """Inner products of rows row_start..row_end (1-based) with the block."""
+    """Inner products of rows row_start..row_end (1-based) with the block.
+
+    A (blocks, dim) batch gives one row of products per block.
+    """
     if not (1 <= row_start and row_start - 1 <= row_end <= matrix.dim):
         raise ValueError(f"row range {row_start}..{row_end} out of bounds")
+    rows = matrix.rows[row_start - 1 : row_end]
     x = np.asarray(block_vector, dtype=np.float64)
-    if x.size != matrix.dim:
+    if x.ndim == 2 and x.shape[1] == matrix.dim:
+        return x @ rows.T
+    if x.ndim > 1 or x.size != matrix.dim:
         raise ValueError("block vector length does not match the operator")
-    return matrix.rows[row_start - 1 : row_end] @ x
+    return rows @ x
 
 
 def adjoint_reconstruct(
     matrix: MeasurementMatrix, row_start: int, row_end: int, values: np.ndarray
 ) -> np.ndarray:
-    """Adjoint of the used rows: the projection of x onto their span."""
+    """Adjoint of the used rows: the projection of x onto their span.
+
+    A (blocks, rows) batch of values gives one projection per block.
+    """
     if not (1 <= row_start and row_start - 1 <= row_end <= matrix.dim):
         raise ValueError(f"row range {row_start}..{row_end} out of bounds")
+    rows = matrix.rows[row_start - 1 : row_end]
     values = np.asarray(values, dtype=np.float64)
-    if values.size != row_end - row_start + 1:
+    if values.ndim == 2 and values.shape[1] == rows.shape[0]:
+        return values @ rows
+    if values.ndim > 1 or values.size != rows.shape[0]:
         raise ValueError("value count does not match the row range")
-    return matrix.rows[row_start - 1 : row_end].T @ values
+    return rows.T @ values
 
 
-def sample_plan(grid: BlockGrid, per_block_M, matrix: MeasurementMatrix, stage: int = 1):
+def sample_plan(grid: BlockGrid, per_block_M, matrix: MeasurementMatrix) -> Measurements:
     """Single-stage sampling: rows 1..M_i of the operator per block."""
     counts = np.asarray(per_block_M, dtype=np.int64)
-    if counts.size != grid.block_count:
+    if counts.shape != (grid.block_count,):
         raise ValueError("one count per block required")
-    records = []
-    for i, count in enumerate(counts):
-        values = sample_rows(matrix, 1, int(count), vectorize(grid.blocks[i]))
-        records.append(
-            MeasurementRecord(
-                block_index=i,
-                segments=(Segment(stage=stage, row_start=1, row_end=int(count), values=values),),
-            )
-        )
-    return records
+    values = np.zeros((grid.block_count, matrix.dim))
+    top = int(counts.max(initial=0))
+    sampled = sample_rows(matrix, 1, top, grid.blocks.reshape(grid.block_count, -1))
+    values[:, :top] = np.where(np.arange(top) < counts[:, None], sampled, 0.0)
+    return Measurements(values, counts)
 
 
-def reconstruct_plan(plan, records, matrix: MeasurementMatrix, original_h: int, original_w: int) -> Image:
+def reconstruct_plan(plan, measurements: Measurements, matrix: MeasurementMatrix,
+                     original_h: int, original_w: int) -> Image:
     """Adjoint-reconstruct every block of a plan and reassemble the image.
 
     `plan` only needs block_size / grid_rows / grid_cols attributes, so
-    both single-stage and multi-stage plans work.
+    both single-stage and multi-stage plans work.  Values are zero beyond
+    each block's count, so one product over the used row prefix is the
+    per-block adjoint of every block at once.
     """
     b = plan.block_size
     n = plan.grid_rows * plan.grid_cols
-    by_index = {rec.block_index: rec for rec in records}
-    missing = [i for i in range(n) if i not in by_index]
-    if missing:
-        raise ValueError(f"records missing for blocks {missing[:8]}")
-    blocks = np.zeros((n, b, b))
-    for i in range(n):
-        rec = by_index[i]
-        total = rec.measured_count
-        vec = adjoint_reconstruct(matrix, 1, total, rec.concatenated())
-        blocks[i] = devectorize(vec, b)
+    if measurements.values.shape != (n, b * b):
+        raise ValueError(f"measurements of shape {measurements.values.shape} do not fit {n} blocks")
+    top = int(measurements.counts.max(initial=0))
+    blocks = adjoint_reconstruct(matrix, 1, top, measurements.values[:, :top])
     grid = BlockGrid(
         block_size=b,
         rows=plan.grid_rows,
         cols=plan.grid_cols,
         pad_bottom=plan.grid_rows * b - original_h,
         pad_right=plan.grid_cols * b - original_w,
-        blocks=np.clip(blocks, 0.0, 1.0),
+        blocks=np.clip(blocks, 0.0, 1.0, out=blocks).reshape(n, b, b),
     )
     return assemble(grid, original_h, original_w)
 

@@ -180,6 +180,7 @@ def test_c07_transform_and_operator_algebra(matrix32):
 
 def test_c08_multistage_bookkeeping(matrix32):
     image = synthetic_image("checkerboard")
+    blocks = partition(image, 32).blocks
     pixels = 9216
     for stages in (2, 5, 8):
         plan = run_simulation(image, 32, 0.3, stages, OracleBoundsPredictor(), matrix32)
@@ -191,12 +192,12 @@ def test_c08_multistage_bookkeeping(matrix32):
         assert plan.total_measurements == allocated
         assert abs(plan.total_measurements - round_half_up(0.3 * pixels)) <= stages
         assert plan.final_M.max() <= 1024
-        for record in plan.records:
-            expected = 1
-            for seg in record.segments:
-                assert seg.row_start == expected
-                expected = seg.row_end + 1
-            assert expected - 1 == plan.final_M[record.block_index]
+        records = plan.records
+        assert np.array_equal(records.counts, plan.final_M)
+        for i, count in enumerate(records.counts):
+            reference = sample_rows(matrix32, 1, int(count), blocks[i].reshape(-1))
+            assert np.abs(records.values[i, :count] - reference).max() <= 1e-12
+            assert not records.values[i, count:].any()
     single = run_simulation(image, 32, 0.3, 1, OracleBoundsPredictor(), matrix32)
     uniform = uniform_plan(image, 32, 0.3)
     assert np.array_equal(single.final_M, uniform.per_block_M)

@@ -1,8 +1,14 @@
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rate_alloc
 from rate_alloc import cli, kl_solver
 from rate_alloc.imaging import Image, load_pgm, save_pgm
 from rate_alloc.synthetic import synthetic_image
@@ -75,6 +81,31 @@ class TestAllocate:
         assert rc == 0
         assert run("allocate", "--synthetic", "flat", "--rate", 0.1,
                    "--curve", "bad", "--out", out) == 2
+
+
+class TestOutputPermissions:
+    @staticmethod
+    def mode(path):
+        return stat.S_IMODE(path.stat().st_mode)
+
+    def test_outputs_follow_current_umask(self, tmp_path):
+        # a child process reports the umask it inherited, so this one's stays as it is
+        probe = subprocess.run([sys.executable, "-c", "import os; print(os.umask(0))"],
+                               capture_output=True, text=True, check=True, timeout=60)
+        umask = int(probe.stdout)
+        out = tmp_path / "out"
+        assert run("allocate", "--synthetic", "flat", "--rate", 0.1, "--out", out) == 0
+        assert self.mode(out / "plan.json") == 0o666 & ~umask
+        assert sorted(p.name for p in out.iterdir()) == ["measurements.csv", "plan.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_outputs_follow_child_umask(self, tmp_path, umask):
+        env = dict(os.environ, PYTHONPATH=str(Path(rate_alloc.__file__).parents[1]))
+        out = tmp_path / "out"
+        subprocess.run([sys.executable, "-m", "rate_alloc.cli", "allocate", "--synthetic", "flat",
+                        "--rate", "0.1", "--out", str(out)],
+                       env=env, umask=umask, check=True, capture_output=True, timeout=60)
+        assert self.mode(out / "plan.json") == 0o666 & ~umask
 
 
 class TestSimulate:

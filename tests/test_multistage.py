@@ -20,7 +20,7 @@ from rate_alloc.multistage import (
     stage_rate,
     upper_bounds,
 )
-from rate_alloc.sensing import sample_rows
+from rate_alloc.sensing import build_matrix, sample_rows
 from rate_alloc.synthetic import synthetic_image
 
 
@@ -155,6 +155,22 @@ class TestPredictors:
         y_tex[:m] = sample_rows(matrix32, 1, m, textured)
         assert predict_bounds_energy(y_tex, m) > predict_bounds_energy(y_flat, m)
 
+    def test_batched_energy_matches_per_block(self):
+        rng = np.random.default_rng(67)
+        counts = rng.integers(0, 65, size=300)
+        values = np.where(np.arange(64) < counts[:, None], rng.standard_normal((300, 64)), 0.0)
+        values[:5] = 0.0  # flat blocks fall to the floor
+        batched = EnergyBoundsPredictor().predict(values, counts)
+        assert batched.shape == (300,)
+        for i in range(300):
+            assert batched[i] == predict_bounds_energy(values[i], int(counts[i]))
+
+    def test_oracle_returns_true_bounds(self):
+        bounds = np.array([0.5, 2.0, 1.0])
+        oracle = OracleBoundsPredictor()
+        oracle.begin_run(bounds)
+        assert np.array_equal(oracle.predict(np.zeros((3, 4)), np.array([1, 1, 1])), bounds)
+
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):
             BoundsPredictor().predict(np.zeros(4), None)
@@ -206,16 +222,18 @@ class TestRunSimulation:
                 allocated += state.budget
             assert abs(plan.total_measurements - round_half_up(0.3 * pixels)) <= stages
 
-    def test_row_ranges_contiguous(self, matrix32):
+    def test_records_are_row_prefixes(self, matrix32):
         img = synthetic_image("gradient")
-        plan = run_simulation(img, 32, 0.3, 5, OracleBoundsPredictor(), matrix32)
-        for record in plan.records:
-            expected = 1
-            for seg in record.segments:
-                assert seg.row_start == expected
-                expected = seg.row_end + 1
-            assert expected - 1 == plan.final_M[record.block_index]
-            assert expected - 1 <= 1024
+        for predictor in (OracleBoundsPredictor(), EnergyBoundsPredictor()):
+            plan = run_simulation(img, 32, 0.3, 5, predictor, matrix32)
+            records = plan.records
+            assert np.array_equal(records.counts, plan.final_M)
+            assert records.counts.max() <= 1024
+            blocks = partition(img, 32).blocks
+            for i, count in enumerate(records.counts):
+                reference = sample_rows(matrix32, 1, int(count), blocks[i].reshape(-1))
+                assert np.abs(records.values[i, :count] - reference).max() <= 1e-12
+                assert not records.values[i, count:].any()
 
     def test_oracle_favors_textured_block(self, matrix32):
         img = synthetic_image("checkerboard")
@@ -279,6 +297,17 @@ class TestRunSimulation:
         # stage-1 budget round(0.01 * 9216 / 64) = 1 < 9 blocks
         with pytest.raises(ValueError, match="block count"):
             run_simulation(img, 32, 0.01, 64, OracleBoundsPredictor(), matrix32)
+
+    def test_starved_first_stage_names_largest_feasible_stages(self, matrix32):
+        img = synthetic_image("flat")
+        # 0.01 * 9216 = 92.16: stage 1 gets round(92.16 / N) >= 9 up to N = 10
+        with pytest.raises(ValueError, match=r"at most 10 stage\(s\)"):
+            run_simulation(img, 32, 0.01, 11, OracleBoundsPredictor(), matrix32)
+        assert run_simulation(img, 32, 0.01, 10, OracleBoundsPredictor(), matrix32).stages[0].budget == 9
+        # 0.01 * 576 = 5.76 on 3x3 blocks of 8: any second stage starves stage 1
+        with pytest.raises(ValueError, match=r"at most 1 stage\(s\)"):
+            run_simulation(synthetic_image("flat", 8), 8, 0.01, 2, OracleBoundsPredictor(),
+                           build_matrix(8, 1))
 
     def test_full_rate_saturates_all_blocks(self, matrix32):
         img = synthetic_image("checkerboard")

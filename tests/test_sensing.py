@@ -1,13 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from rate_alloc.allocation import uniform_plan
-from rate_alloc.imaging import Image, partition
+from rate_alloc.imaging import Image, assemble, partition
 from rate_alloc.sensing import (
-    MeasurementRecord,
-    Segment,
+    Measurements,
     adjoint_reconstruct,
     build_matrix,
     load_matrix,
@@ -136,26 +136,73 @@ class TestAdjoint:
             assert np.linalg.norm(full) == pytest.approx(np.linalg.norm(x), abs=1e-9)
 
 
-class TestRecords:
-    def test_contiguity_enforced(self):
-        good = MeasurementRecord(
-            block_index=0,
-            segments=(
-                Segment(1, 1, 3, np.zeros(3)),
-                Segment(2, 4, 3, np.zeros(0)),
-                Segment(3, 4, 6, np.zeros(3)),
-            ),
-        )
-        assert good.measured_count == 6
-        with pytest.raises(ValueError):
-            MeasurementRecord(
-                block_index=0,
-                segments=(Segment(1, 1, 3, np.zeros(3)), Segment(2, 5, 6, np.zeros(2))),
-            )
+class TestMeasurements:
+    def test_counts_checked(self):
+        good = Measurements(np.zeros((2, 4)), [0, 4])
+        assert good.counts.dtype == np.int64 and good.counts.tolist() == [0, 4]
+        for counts in ([-1, 2], [1, 5]):
+            with pytest.raises(ValueError):
+                Measurements(np.zeros((2, 4)), counts)
 
-    def test_segment_length_checked(self):
+    def test_shape_checked(self):
         with pytest.raises(ValueError):
-            Segment(1, 1, 3, np.zeros(2))
+            Measurements(np.zeros((3, 4)), [1, 1])  # wrong block count
+        with pytest.raises(ValueError):
+            Measurements(np.zeros(4), [1])
+        with pytest.raises(ValueError):
+            Measurements(np.zeros((2, 4)), [[1, 1]])
+
+    def test_nonzero_beyond_count_rejected(self):
+        values = np.zeros((2, 4))
+        values[1, 2] = 0.5
+        with pytest.raises(ValueError):
+            Measurements(values, [4, 2])
+        assert Measurements(values, [4, 3]).values[1, 2] == 0.5
+
+    def test_arrays_read_only(self):
+        rec = Measurements(np.zeros((2, 4)), [1, 3])
+        assert not rec.values.flags.writeable and not rec.counts.flags.writeable
+
+    def test_sample_plan_matches_per_block_rows(self, matrix8):
+        rng = np.random.default_rng(57)
+        img = Image(rng.random((21, 30)))
+        grid = partition(img, 8)
+        counts = rng.integers(0, 65, size=grid.block_count)
+        rec = sample_plan(grid, counts, matrix8)
+        assert np.array_equal(rec.counts, counts)
+        assert rec.values.shape == (grid.block_count, 64)
+        for i, c in enumerate(counts):
+            reference = sample_rows(matrix8, 1, int(c), grid.blocks[i].reshape(-1))
+            assert np.abs(rec.values[i, :c] - reference).max(initial=0.0) <= 1e-12
+            assert not rec.values[i, c:].any()
+
+    def test_sample_plan_rejects_bad_counts(self, matrix8):
+        grid = partition(Image(np.zeros((16, 16))), 8)
+        for counts in ([1, 2, 3], [1, 2, 3, 65], [1, 2, 3, -1]):
+            with pytest.raises(ValueError):
+                sample_plan(grid, counts, matrix8)
+
+
+class TestBatches:
+    def test_batched_rows_match_single_vectors(self, matrix8):
+        rng = np.random.default_rng(58)
+        x = rng.standard_normal((7, 64))
+        for lo, hi in ((1, 64), (5, 20), (9, 8)):
+            batch = sample_rows(matrix8, lo, hi, x)
+            assert batch.shape == (7, hi - lo + 1)
+            back = adjoint_reconstruct(matrix8, lo, hi, batch)
+            assert back.shape == (7, 64)
+            for i in range(7):
+                assert np.abs(batch[i] - sample_rows(matrix8, lo, hi, x[i])).max(initial=0.0) <= 1e-12
+                assert np.abs(back[i] - adjoint_reconstruct(matrix8, lo, hi, batch[i])).max() <= 1e-12
+
+    def test_batch_width_checked(self, matrix8):
+        with pytest.raises(ValueError):
+            sample_rows(matrix8, 1, 4, np.zeros((3, 63)))
+        with pytest.raises(ValueError):
+            sample_rows(matrix8, 1, 4, np.zeros((8, 8)))
+        with pytest.raises(ValueError):
+            adjoint_reconstruct(matrix8, 1, 4, np.zeros((3, 5)))
 
 
 class TestReconstructPlan:
@@ -178,8 +225,23 @@ class TestReconstructPlan:
         img = synthetic_image("flat")
         plan = uniform_plan(img, 32, 0.1)
         records = sample_plan(partition(img, 32), plan.per_block_M, matrix32)
+        short = Measurements(records.values[:-1], records.counts[:-1])
         with pytest.raises(ValueError):
-            reconstruct_plan(plan, records[:-1], matrix32, 96, 96)
+            reconstruct_plan(plan, short, matrix32, 96, 96)
+
+    def test_matches_per_block_adjoint(self, matrix8):
+        rng = np.random.default_rng(59)
+        img = Image(rng.random((27, 19)))
+        grid = partition(img, 8)
+        counts = rng.integers(0, 65, size=grid.block_count)
+        plan = uniform_plan(img, 8, 0.5)
+        recon = reconstruct_plan(plan, sample_plan(grid, counts, matrix8), matrix8, 27, 19)
+        blocks = np.empty_like(grid.blocks)
+        for i, c in enumerate(counts):
+            y = sample_rows(matrix8, 1, int(c), grid.blocks[i].reshape(-1))
+            blocks[i] = adjoint_reconstruct(matrix8, 1, int(c), y).reshape(8, 8)
+        reference = assemble(dataclasses.replace(grid, blocks=np.clip(blocks, 0, 1)), 27, 19)
+        assert np.abs(recon.pixels - reference.pixels).max() <= 1e-12
 
 
 class TestPsnr:
