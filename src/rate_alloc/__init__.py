@@ -9,11 +9,12 @@ Newton/bisection root-finder.
 """
 
 from .analysis import (
+    Analysis,
     BoundsProfile,
     CurveParams,
     DEFAULT_CURVE,
     SparsityProfile,
-    block_sparsity,
+    analyze,
     bounds_profile,
     measurement_bounds,
     solve_threshold,
@@ -35,18 +36,15 @@ from .imaging import (
     assemble,
     dct2,
     dct2_blocks,
-    devectorize,
     idct2,
     load_pgm,
     partition,
     save_pgm,
-    vectorize,
 )
 from .kl_solver import (
     InfeasibleProblemError,
     KlAllocProblem,
     KlAllocSolution,
-    SegmentSets,
     kkt_residual,
     newton_step,
     objective,

@@ -16,15 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (
-    BoundsProfile,
-    CurveParams,
-    DEFAULT_CURVE,
-    bounds_profile,
-    solve_threshold,
-    target_sparsity_ratio,
-)
-from .imaging import BlockGrid, Image, dct2_blocks, partition
+from .analysis import Analysis, BoundsProfile, CurveParams, DEFAULT_CURVE, analyze
+from .imaging import BlockGrid, Image, partition
 
 
 def round_half_up(x: float) -> int:
@@ -125,15 +118,22 @@ def apportion(shares, budget: int, cap) -> np.ndarray:
 
 def plan_from_bounds(
     grid: BlockGrid,
-    bounds: BoundsProfile,
+    bounds: Optional[BoundsProfile],
     s_r: float,
     threshold: Optional[float],
 ) -> AllocationPlan:
-    """Apportion the rate's budget over a grid proportionally to bounds."""
+    """Apportion the rate's budget over a grid proportionally to bounds.
+
+    Without bounds every block gets an equal share: the uniform baseline.
+    """
+    if not (0 < s_r <= 1):
+        raise ValueError("sampling rate must lie in (0, 1]")
     budget = round_half_up(s_r * grid.padded_pixel_count)
-    cap = grid.block_size * grid.block_size
-    shares = proportional_shares(bounds, budget)
-    counts = apportion(shares, budget, cap)
+    if bounds is None:
+        shares = np.full(grid.block_count, budget / grid.block_count)
+    else:
+        shares = proportional_shares(bounds, budget)
+    counts = apportion(shares, budget, grid.block_size * grid.block_size)
     return AllocationPlan(
         block_size=grid.block_size,
         grid_rows=grid.rows,
@@ -146,41 +146,21 @@ def plan_from_bounds(
     )
 
 
+def adaptive_plan(analysis: Analysis) -> AllocationPlan:
+    """Single-pass plan: the budget apportioned in proportion to the analysis's bounds."""
+    return plan_from_bounds(analysis.grid, analysis.bounds, analysis.rate, analysis.threshold)
+
+
 def single_stage_plan(
     image: Image,
     block_size: int,
     s_r: float,
     curve: CurveParams = DEFAULT_CURVE,
 ) -> AllocationPlan:
-    """Full single-pass pipeline: partition, DCT, threshold, bounds, apportion."""
-    if not (0 < s_r <= 1):
-        raise ValueError("sampling rate must lie in (0, 1]")
-    grid = partition(image, block_size)
-    coeffs = dct2_blocks(grid.blocks)
-    target_ps = target_sparsity_ratio(s_r, curve)
-    threshold = solve_threshold(coeffs, target_ps)
-    bounds = bounds_profile(coeffs, threshold)
-    return plan_from_bounds(grid, bounds, s_r, threshold)
+    """Full single-pass pipeline: partition, analyze, apportion."""
+    return adaptive_plan(analyze(partition(image, block_size), s_r, curve))
 
 
 def uniform_plan(image: Image, block_size: int, s_r: float) -> AllocationPlan:
     """Uniform-rate baseline: every block gets an equal slice of the budget."""
-    if not (0 < s_r <= 1):
-        raise ValueError("sampling rate must lie in (0, 1]")
-    grid = partition(image, block_size)
-    budget = round_half_up(s_r * grid.padded_pixel_count)
-    counts = apportion(
-        np.full(grid.block_count, budget / grid.block_count),
-        budget,
-        block_size * block_size,
-    )
-    return AllocationPlan(
-        block_size=block_size,
-        grid_rows=grid.rows,
-        grid_cols=grid.cols,
-        target_rate=s_r,
-        total_budget=budget,
-        per_block_M=counts,
-        threshold=None,
-        bounds=None,
-    )
+    return plan_from_bounds(partition(image, block_size), None, s_r, None)

@@ -8,6 +8,9 @@ sampling rate.  Each block is then assigned the classical bound
 k * log10(n / k) on the number of measurements needed to recover a
 k-sparse length-n signal (the theory's constant factor cancels when the
 bounds are only ever used as ratios).
+
+:func:`analyze` runs that pipeline once over a block grid and returns an
+:class:`Analysis`, which plans, the simulator and the CLI all read.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .imaging import BlockGrid, dct2_blocks
 
 
 @dataclass(frozen=True)
@@ -113,13 +118,6 @@ def solve_threshold(coeff_blocks, target_ps: float) -> float:
     return float(candidates[np.argmin(distances)])
 
 
-def block_sparsity(coeffs: np.ndarray, threshold: float) -> int:
-    """Number of coefficients in one block with |f| > threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    return int((np.abs(np.asarray(coeffs)) > threshold).sum())
-
-
 def measurement_bounds(k: int, block_len: int) -> float:
     """Measurement bound k * log10(n / k) for a k-sparse length-n block.
 
@@ -146,12 +144,45 @@ def sparsity_profile(coeff_blocks, threshold: float) -> SparsityProfile:
     )
 
 
+def _bounds_from_counts(per_block_k: np.ndarray, block_len: int) -> BoundsProfile:
+    """Per-block bounds read from a table of :func:`measurement_bounds` over k."""
+    top = int(per_block_k.max(initial=0))
+    table = np.array([measurement_bounds(k, block_len) for k in range(top + 1)])
+    return BoundsProfile(per_block_m=table[per_block_k])
+
+
 def bounds_profile(coeff_blocks, threshold: float) -> BoundsProfile:
     """Per-block measurement bounds under a threshold."""
     coeffs = np.asarray(coeff_blocks, dtype=np.float64)
-    block_len = coeffs.shape[-1] * coeffs.shape[-2]
     profile = sparsity_profile(coeffs, threshold)
-    m = np.array(
-        [measurement_bounds(int(k), block_len) for k in profile.per_block_k]
-    )
-    return BoundsProfile(per_block_m=m)
+    return _bounds_from_counts(profile.per_block_k, coeffs.shape[-1] * coeffs.shape[-2])
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One pass over a block grid at a rate: threshold, sparsity and bounds.
+
+    The DCT coefficients are not kept; everything downstream needs only
+    the per-block counts and bounds derived from them.
+    """
+
+    grid: BlockGrid
+    rate: float
+    target_ratio: float
+    sparsity: SparsityProfile
+    bounds: BoundsProfile
+
+    @property
+    def threshold(self) -> float:
+        return self.sparsity.threshold
+
+
+def analyze(grid: BlockGrid, s_r: float, curve: CurveParams = DEFAULT_CURVE) -> Analysis:
+    """The pipeline in order: DCT, target ratio, threshold, sparsity, bounds."""
+    if not (0 < s_r <= 1):
+        raise ValueError("sampling rate must lie in (0, 1]")
+    coeffs = dct2_blocks(grid.blocks)
+    target_ps = target_sparsity_ratio(s_r, curve)
+    sparsity = sparsity_profile(coeffs, solve_threshold(coeffs, target_ps))
+    bounds = _bounds_from_counts(sparsity.per_block_k, grid.block_size * grid.block_size)
+    return Analysis(grid, s_r, target_ps, sparsity, bounds)

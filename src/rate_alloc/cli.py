@@ -77,40 +77,35 @@ def _curve(args) -> analysis.CurveParams:
     return analysis.CurveParams(a=a, b=b, s_r1=sr1, p_s1=ps1)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("RATE_ALLOC_THREADS")
-    if raw is None:
-        return 1
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("RATE_ALLOC_THREADS must be a positive integer")
-    return cap
+def _analyze(args, image: imaging.Image, stages: int) -> analysis.Analysis:
+    """Partition, reject a stage count that starves stage 1, then analyze once.
+
+    The check needs only the grid's shape, so a bad count fails before the
+    analysis and before any operator is built.
+    """
+    grid = imaging.partition(image, args.block_size)
+    multistage.check_stages(grid, args.rate, stages)
+    return analysis.analyze(grid, args.rate, _curve(args))
 
 
 def cmd_analyze(args) -> int:
-    image = _load_image(args)
-    curve = _curve(args)
-    grid = imaging.partition(image, args.block_size)
-    coeffs = imaging.dct2_blocks(grid.blocks)
-    target_ps = analysis.target_sparsity_ratio(args.rate, curve)
-    threshold = analysis.solve_threshold(coeffs, target_ps)
-    profile = analysis.sparsity_profile(coeffs, threshold)
-    bounds = analysis.bounds_profile(coeffs, threshold)
+    result = _analyze(args, _load_image(args), 1)
+    grid, profile, bounds = result.grid, result.sparsity, result.bounds
 
     out = Path(args.out)
     _write_atomic(out / "sparsity.csv", _heatmap_csv(profile.per_block_k, grid.rows, grid.cols, "%d"))
     _write_atomic(out / "bounds.csv", _heatmap_csv(bounds.per_block_m, grid.rows, grid.cols, "%.6g"))
     summary = {
-        "threshold": threshold,
-        "target_sparsity_ratio": target_ps,
+        "threshold": result.threshold,
+        "target_sparsity_ratio": result.target_ratio,
         "overall_sparsity_ratio": profile.overall_ratio,
         "total_bounds": bounds.total,
         "grid": [grid.rows, grid.cols],
         "block_size": args.block_size,
-        "curve": dataclasses.asdict(curve),
+        "curve": dataclasses.asdict(_curve(args)),
     }
     _write_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
-    print(f"threshold {threshold:.10g}  sparsity ratio {profile.overall_ratio:.10g}  total bounds {bounds.total:.10g}")
+    print(f"threshold {result.threshold:.10g}  sparsity ratio {profile.overall_ratio:.10g}  total bounds {bounds.total:.10g}")
     return EXIT_OK
 
 
@@ -128,8 +123,7 @@ def _plan_json(plan: allocation.AllocationPlan) -> str:
 
 
 def cmd_allocate(args) -> int:
-    image = _load_image(args)
-    plan = allocation.single_stage_plan(image, args.block_size, args.rate, _curve(args))
+    plan = allocation.adaptive_plan(_analyze(args, _load_image(args), 1))
     out = Path(args.out)
     _write_atomic(out / "plan.json", _plan_json(plan))
     _write_atomic(
@@ -142,11 +136,10 @@ def cmd_allocate(args) -> int:
 
 def cmd_simulate(args) -> int:
     image = _load_image(args)
+    result = _analyze(args, image, args.stages)
     matrix = sensing.build_matrix(args.block_size, args.seed)
     predictor = multistage.PREDICTORS[args.predictor]()
-    plan = multistage.run_simulation(
-        image, args.block_size, args.rate, args.stages, predictor, matrix, _curve(args)
-    )
+    plan = multistage.simulate(result, args.stages, predictor, matrix)
     recon = sensing.reconstruct_plan(plan, plan.records, matrix, image.height, image.width)
     quality = sensing.psnr(image, recon)
 
@@ -213,19 +206,14 @@ def _allocation_kl(true_bounds: np.ndarray, counts: np.ndarray) -> float:
 
 def cmd_compare(args) -> int:
     image = _load_image(args)
+    result = _analyze(args, image, args.stages)
+    grid = result.grid
     matrix = sensing.build_matrix(args.block_size, args.seed)
-    curve = _curve(args)
 
-    uniform = allocation.uniform_plan(image, args.block_size, args.rate)
-    adaptive = allocation.single_stage_plan(image, args.block_size, args.rate, curve)
-    multi = multistage.run_simulation(
-        image, args.block_size, args.rate, args.stages,
-        multistage.PREDICTORS[args.predictor](), matrix, curve,
-    )
-
-    grid = imaging.partition(image, args.block_size)
-    coeffs = imaging.dct2_blocks(grid.blocks)
-    true_bounds = analysis.bounds_profile(coeffs, adaptive.threshold).per_block_m
+    uniform = allocation.plan_from_bounds(grid, None, args.rate, None)
+    adaptive = allocation.adaptive_plan(result)
+    multi = multistage.simulate(result, args.stages, multistage.PREDICTORS[args.predictor](), matrix)
+    true_bounds = result.bounds.per_block_m
 
     def evaluate(records):
         recon = sensing.reconstruct_plan(adaptive, records, matrix, image.height, image.width)
@@ -313,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _thread_cap()
         return args.func(args)
     except VerificationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -170,22 +170,6 @@ def dct2_blocks(blocks: np.ndarray) -> np.ndarray:
     return m @ blocks @ m.T
 
 
-def vectorize(block: np.ndarray) -> np.ndarray:
-    """Row-major flattening of a square block to a length-B^2 vector."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ValueError("vectorize expects a square block")
-    return block.reshape(-1).copy()
-
-
-def devectorize(vector: np.ndarray, block_size: int) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.size != block_size * block_size:
-        raise ValueError("vector length does not match block size")
-    return vector.reshape(block_size, block_size).copy()
-
-
 # ---------------------------------------------------------------------------
 # PGM I/O (P2 ASCII and P5 binary, maxval <= 65535; written as P5 maxval 255)
 # ---------------------------------------------------------------------------

@@ -125,7 +125,6 @@ class SegmentSets:
 class KlAllocSolution:
     q: np.ndarray
     mu_star: float
-    segments: SegmentSets
     trace: tuple  # of (mu, step kind)
     status: str
 
@@ -272,7 +271,6 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
     return KlAllocSolution(
         q=q_of_mu(problem, mu_star),
         mu_star=float(mu_star),
-        segments=segment_sets(problem, mu_star),
         trace=tuple(trace),
         status=status,
     )
@@ -293,7 +291,6 @@ def oracle_solve(problem: KlAllocProblem) -> KlAllocSolution:
     return KlAllocSolution(
         q=q_of_mu(problem, mu),
         mu_star=float(mu),
-        segments=segment_sets(problem, mu),
         trace=tuple(trace),
         status=STATUS_BISECTION,
     )

@@ -21,16 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .allocation import apportion, round_half_up
-from .analysis import (
-    CurveParams,
-    DEFAULT_CURVE,
-    block_sparsity,
-    bounds_profile,
-    measurement_bounds,
-    solve_threshold,
-    target_sparsity_ratio,
-)
-from .imaging import Image, dct2_blocks, partition
+from .analysis import Analysis, CurveParams, DEFAULT_CURVE, analyze
+from .imaging import BlockGrid, Image, partition
 from .kl_solver import KlAllocProblem, KlAllocSolution, solve
 from .sensing import MeasurementMatrix, Measurements, sample_rows
 
@@ -52,6 +44,24 @@ def _max_stages(s_r: float, pixels: int, blocks: int) -> int:
     while stages > 1 and round_half_up(stage_rate(1, stages, s_r, 0, pixels) * pixels) < blocks:
         stages -= 1
     return stages
+
+
+def check_stages(grid: BlockGrid, s_r: float, stages: int) -> None:
+    """Reject a run whose uniform stage 1 cannot give every block a measurement.
+
+    Needs only the grid's shape, so it runs before any analysis or operator.
+    """
+    if stages < 1:
+        raise ValueError("at least one stage required")
+    if not (0 < s_r <= 1):
+        raise ValueError("sampling rate must lie in (0, 1]")
+    n, pixels = grid.block_count, grid.padded_pixel_count
+    budget1 = round_half_up(stage_rate(1, stages, s_r, 0, pixels) * pixels)
+    if stages > 1 and budget1 < n:
+        raise ValueError(
+            f"stage-1 budget {budget1} is below the block count {n}; at rate {s_r} and block "
+            f"size {grid.block_size} this image allows at most {_max_stages(s_r, pixels, n)} stage(s)"
+        )
 
 
 def mixing_coeffs(t: int, stages: int, s_r: float, allocated_so_far: int, pixels: int):
@@ -91,12 +101,6 @@ def upper_bounds(cumulative_M, s_r_t: float, pixels: int, block_size: int) -> np
         raise ValueError("stage rate must be positive")
     cumulative = np.asarray(cumulative_M, dtype=np.float64)
     return (block_size * block_size - cumulative) / (s_r_t * pixels)
-
-
-def predict_bounds_oracle(original_block_coeffs: np.ndarray, threshold: float) -> float:
-    """True measurement bound of a block: the protocol's information ceiling."""
-    coeffs = np.asarray(original_block_coeffs)
-    return measurement_bounds(block_sparsity(coeffs, threshold), coeffs.size)
 
 
 def predict_bounds_energy(padded_measurements: np.ndarray, stage_M_so_far: int) -> float:
@@ -235,34 +239,33 @@ def run_simulation(
     matrix: MeasurementMatrix,
     curve: CurveParams = DEFAULT_CURVE,
 ) -> MultiStagePlan:
+    """Partition, check the stage count, analyze, then :func:`simulate`."""
+    grid = partition(image, block_size)
+    check_stages(grid, s_r, stages)
+    return simulate(analyze(grid, s_r, curve), stages, predictor, matrix)
+
+
+def simulate(
+    analysis: Analysis,
+    stages: int,
+    predictor: BoundsPredictor,
+    matrix: MeasurementMatrix,
+) -> MultiStagePlan:
     """Run the N-stage protocol end to end and record every measurement.
 
-    N = 1 degenerates to plain uniform sampling at the full rate.
+    N = 1 degenerates to plain uniform sampling at the full rate.  The
+    analysis supplies the grid, the rate and the true bounds, which the
+    oracle predictor and the KL diagnostics read.
     """
-    if stages < 1:
-        raise ValueError("at least one stage required")
-    if not (0 < s_r <= 1):
-        raise ValueError("sampling rate must lie in (0, 1]")
-    grid = partition(image, block_size)
+    grid, s_r = analysis.grid, analysis.rate
+    check_stages(grid, s_r, stages)
     n = grid.block_count
+    block_size = grid.block_size
     dim = block_size * block_size
     pixels = grid.padded_pixel_count
     if matrix.dim != dim:
         raise ValueError("operator size does not match the block size")
-
-    # stage 1: uniform; per-block baseline floor(s_r^1 * B^2), topped up by
-    # apportionment so the stage budget is hit exactly (checked before any analysis)
-    rate1 = stage_rate(1, stages, s_r, 0, pixels)
-    budget1 = round_half_up(rate1 * pixels)
-    if stages > 1 and budget1 < n:
-        raise ValueError(
-            f"stage-1 budget {budget1} is below the block count {n}; at rate {s_r} and block "
-            f"size {block_size} this image allows at most {_max_stages(s_r, pixels, n)} stage(s)"
-        )
-
-    coeffs = dct2_blocks(grid.blocks)
-    threshold = solve_threshold(coeffs, target_sparsity_ratio(s_r, curve))
-    true_bounds = bounds_profile(coeffs, threshold).per_block_m
+    true_bounds = analysis.bounds.per_block_m
     predictor.begin_run(true_bounds)
 
     # every block uses the operator's rows in native order, so column j of `values`
@@ -296,6 +299,10 @@ def run_simulation(
             )
         )
 
+    # stage 1: uniform; per-block baseline floor(s_r^1 * B^2), topped up by
+    # apportionment so the stage budget is hit exactly
+    rate1 = stage_rate(1, stages, s_r, 0, pixels)
+    budget1 = round_half_up(rate1 * pixels)
     counts1 = apportion(np.full(n, budget1 / n), budget1, dim)
     run_stage(1, counts1, rate1, budget1, 1.0, 0.0, None, None, None)
     diagnostics.append(None)
@@ -337,5 +344,5 @@ def run_simulation(
         final_M=cumulative,
         diagnostics=tuple(diagnostics),
         records=Measurements(values, cumulative),
-        threshold=threshold,
+        threshold=analysis.threshold,
     )

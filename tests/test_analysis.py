@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from rate_alloc.analysis import (
+    Analysis,
     BoundsProfile,
     CurveParams,
     DEFAULT_CURVE,
-    block_sparsity,
+    analyze,
     bounds_profile,
     measurement_bounds,
     solve_threshold,
@@ -15,7 +17,8 @@ from rate_alloc.analysis import (
     sparsity_ratio,
     target_sparsity_ratio,
 )
-from rate_alloc.imaging import dct2
+from rate_alloc.imaging import dct2, dct2_blocks, partition
+from rate_alloc.synthetic import synthetic_image
 
 
 class TestCurve:
@@ -119,6 +122,10 @@ class TestSolveThreshold:
             solve_threshold(np.empty((0, 2, 2)), 0.5)
 
 
+def block_sparsity(block, threshold):
+    return int(sparsity_profile(np.asarray(block)[None], threshold).per_block_k[0])
+
+
 class TestBlockSparsity:
     def test_zero_block(self):
         assert block_sparsity(np.zeros((4, 4)), 1.0) == 0
@@ -174,6 +181,9 @@ class TestProfiles:
         profile = bounds_profile(np.stack([flat, flat, checker, flat]), 1e-6)
         m = profile.per_block_m
         assert m[2] > m[[0, 1, 3]].max()
+        # a flat block keeps only its DC coefficient: k = 1, bound log10(64)
+        assert m[0] == pytest.approx(math.log10(64), abs=1e-12)
+        assert bounds_profile(flat[None], 0.5).per_block_m[0] == m[0]
 
     def test_overall_ratio_identity(self):
         rng = np.random.default_rng(15)
@@ -181,6 +191,43 @@ class TestProfiles:
         profile = sparsity_profile(blocks, 0.8)
         assert profile.overall_ratio == profile.per_block_k.sum() / blocks.size
 
+    def test_bounds_equal_per_block_formula(self):
+        rng = np.random.default_rng(16)
+        blocks = rng.standard_normal((200, 8, 8)) * rng.exponential(size=(200, 1, 1))
+        for threshold in (0.0, 0.3, 1.0, 10.0):
+            k = sparsity_profile(blocks, threshold).per_block_k
+            expected = [measurement_bounds(int(v), 64) for v in k]
+            assert bounds_profile(blocks, threshold).per_block_m.tolist() == expected
+
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
             BoundsProfile(np.array([-1.0]))
+
+
+class TestAnalyze:
+    def test_one_pass_matches_the_steps(self):
+        img = synthetic_image("checkerboard", 8)
+        grid = partition(img, 8)
+        result = analyze(grid, 0.2)
+        coeffs = dct2_blocks(grid.blocks)
+        assert result.grid is grid and result.rate == 0.2
+        assert result.target_ratio == target_sparsity_ratio(0.2)
+        assert result.threshold == solve_threshold(coeffs, result.target_ratio)
+        sparsity = sparsity_profile(coeffs, result.threshold)
+        assert np.array_equal(result.sparsity.per_block_k, sparsity.per_block_k)
+        assert result.sparsity.overall_ratio == sparsity.overall_ratio
+        expected = bounds_profile(coeffs, result.threshold).per_block_m
+        assert np.array_equal(result.bounds.per_block_m, expected)
+
+    def test_keeps_no_coefficients(self):
+        result = analyze(partition(synthetic_image("gradient", 8), 8), 0.1)
+        fields = {f.name for f in dataclasses.fields(Analysis)}
+        assert fields == {"grid", "rate", "target_ratio", "sparsity", "bounds"}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.rate = 0.5
+
+    def test_rate_out_of_range_rejected(self):
+        grid = partition(synthetic_image("flat", 8), 8)
+        for rate in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                analyze(grid, rate)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -174,8 +175,7 @@ class TestSolve:
             wrong = sol.q.copy()
             wrong[0] += 0.1
             return kl_solver.KlAllocSolution(
-                q=wrong, mu_star=sol.mu_star, segments=sol.segments,
-                trace=sol.trace, status=sol.status,
+                q=wrong, mu_star=sol.mu_star, trace=sol.trace, status=sol.status,
             )
 
         monkeypatch.setattr(kl_solver, "oracle_solve", skewed)
@@ -223,13 +223,52 @@ class TestCompare:
         assert max(values) - min(values) <= 0.1
 
 
-class TestEnvironment:
-    def test_thread_cap_rejects_garbage(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("RATE_ALLOC_THREADS", "0")
-        assert run("allocate", "--synthetic", "flat", "--rate", 0.1,
-                   "--out", tmp_path / "o") == 2
+def replace_everywhere(monkeypatch, module, name, replacement):
+    """Swap a package function in every rate_alloc module that holds it."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "rate_alloc" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
 
-    def test_thread_cap_accepts_positive(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("RATE_ALLOC_THREADS", "4")
-        assert run("allocate", "--synthetic", "flat", "--rate", 0.1,
-                   "--out", tmp_path / "o") == 0
+
+class TestOnePass:
+    COMMANDS = {
+        "analyze": ("--out",),
+        "allocate": ("--out",),
+        "simulate": ("--stages", 3, "--predictor", "energy", "--out"),
+        "compare": ("--stages", 2, "--out"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_command_analyzes_once(self, command, tmp_path, monkeypatch):
+        from rate_alloc import analysis, imaging
+
+        calls = {}
+        for module, name in ((imaging, "partition"), (imaging, "dct2_blocks"),
+                             (analysis, "solve_threshold")):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            replace_everywhere(monkeypatch, module, name, counted)
+        argv = [command, "--synthetic", "checkerboard", "--block-size", 8, "--rate", 0.2,
+                *self.COMMANDS[command], tmp_path / "out"]
+        assert run(*argv) == 0
+        assert calls == {"partition": 1, "dct2_blocks": 1, "solve_threshold": 1}
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_starved_stages_exit_before_operator(self, command, tmp_path, monkeypatch, capsys):
+        from rate_alloc import sensing
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("build_matrix called before the stage-count check")
+
+        replace_everywhere(monkeypatch, sensing, "build_matrix", forbidden)
+        rc = run(command, "--synthetic", "checkerboard", "--rate", 0.1, "--block-size", 64,
+                 "--stages", 500, "--out", tmp_path / "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "block count" in err
+        assert re.search(r"at most \d+ stage\(s\)", err)

@@ -13,12 +13,10 @@ from rate_alloc.imaging import (
     dct2,
     dct2_blocks,
     dct_matrix,
-    devectorize,
     idct2,
     load_pgm,
     partition,
     save_pgm,
-    vectorize,
 )
 
 
@@ -220,16 +218,3 @@ class TestDct:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             dct2(np.zeros((2, 3)))
-
-
-class TestVectorize:
-    def test_row_major(self):
-        assert vectorize(np.array([[1.0, 2.0], [3.0, 4.0]])).tolist() == [1, 2, 3, 4]
-
-    def test_zero(self):
-        assert not vectorize(np.zeros((3, 3))).any()
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(8)
-        block = rng.random((6, 6))
-        assert np.array_equal(devectorize(vectorize(block), 6), block)

@@ -5,7 +5,7 @@ import pytest
 
 from rate_alloc.allocation import round_half_up, uniform_plan
 from rate_alloc.analysis import bounds_profile
-from rate_alloc.imaging import dct2, dct2_blocks, partition
+from rate_alloc.imaging import dct2_blocks, partition
 from rate_alloc.multistage import (
     BoundsPredictor,
     EnergyBoundsPredictor,
@@ -15,7 +15,6 @@ from rate_alloc.multistage import (
     kl_diagnostic,
     mixing_coeffs,
     predict_bounds_energy,
-    predict_bounds_oracle,
     run_simulation,
     stage_rate,
     upper_bounds,
@@ -121,17 +120,13 @@ class TestUpperBounds:
 
 
 class TestPredictors:
-    def test_oracle_matches_analysis(self):
-        rng = np.random.default_rng(63)
-        coeffs = dct2(rng.standard_normal((8, 8)))
-        profile = bounds_profile(coeffs[None], 0.4)
-        assert predict_bounds_oracle(coeffs, 0.4) == profile.per_block_m[0]
-
-    def test_flat_block_near_zero(self):
-        coeffs = dct2(np.full((8, 8), 0.5))
-        assert predict_bounds_oracle(coeffs, 0.5) == pytest.approx(
-            math.log10(64), abs=1e-12
-        )  # only the DC coefficient survives
+    def test_oracle_matches_analysis(self, matrix32):
+        # the oracle predicts the bounds of the image's own coefficients, bit for bit
+        img = synthetic_image("gradient")
+        plan = run_simulation(img, 32, 0.2, 2, OracleBoundsPredictor(), matrix32)
+        coeffs = dct2_blocks(partition(img, 32).blocks)
+        expected = bounds_profile(coeffs, plan.threshold).per_block_m
+        assert np.array_equal(plan.stages[1].predicted_bounds, expected)
 
     def test_energy_floor_on_zero(self):
         assert predict_bounds_energy(np.zeros(64), 10) == PREDICTION_FLOOR
