@@ -5,7 +5,7 @@ import pytest
 
 from rate_alloc.allocation import round_half_up, uniform_plan
 from rate_alloc.analysis import bounds_profile
-from rate_alloc.imaging import dct2_blocks, partition
+from rate_alloc.imaging import dct2, dct2_blocks, partition
 from rate_alloc.multistage import (
     BoundsPredictor,
     EnergyBoundsPredictor,
@@ -127,6 +127,15 @@ class TestPredictors:
         coeffs = dct2_blocks(partition(img, 32).blocks)
         expected = bounds_profile(coeffs, plan.threshold).per_block_m
         assert np.array_equal(plan.stages[1].predicted_bounds, expected)
+
+    def test_flat_block_near_zero(self):
+        coeffs = dct2(np.full((8, 8), 0.5))
+        oracle = OracleBoundsPredictor()
+        oracle.begin_run(bounds_profile(coeffs[None], 0.5).per_block_m)
+        predicted = oracle.predict(np.zeros((1, 64)), np.array([1]))
+        assert predicted[0] == pytest.approx(
+            math.log10(64), abs=1e-12
+        )  # only the DC coefficient survives
 
     def test_energy_floor_on_zero(self):
         assert predict_bounds_energy(np.zeros(64), 10) == PREDICTION_FLOOR
