@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rate_alloc.imaging import (
     BlockGrid,
     Image,
     MalformedHeaderError,
+    PgmError,
     TruncatedPayloadError,
     UnsupportedMagicError,
     assemble,
@@ -54,6 +57,16 @@ class TestImageType:
         assert (img.height, img.width) == (2, 3)
 
 
+SEPARATORS = st.lists(
+    st.one_of(
+        st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+        st.binary(max_size=6).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n"),
+    ),
+    min_size=1,
+    max_size=3,
+).map(b"".join)
+
+
 class TestPgm:
     def test_p2_ascii_scaling(self, tmp_path):
         path = tmp_path / "a.pgm"
@@ -75,6 +88,63 @@ class TestPgm:
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P2 # a comment\n# another\n2 1\n255\n7 9\n")
         assert np.allclose(load_pgm(path).pixels, [[7 / 255, 9 / 255]])
+
+    @pytest.mark.parametrize(
+        "data, samples, maxval",
+        [
+            (b"P2\n2 2\n255\n0 # c\n255 #x\n128\n# y\n255\n", [[0, 255], [128, 255]], 255),
+            (b"P2\t3\r2\x0b255\x0c1\t2\r3\x0b4\x0c5 6", [[1, 2, 3], [4, 5, 6]], 255),
+            (b"P2 2 1 255 7 9 # comment at EOF, no newline", [[7, 9]], 255),
+            (b"P2\n2 1\n65535\n0 65535\n", [[0, 65535]], 65535),
+            (b"P2 2 1 255 1 2x", [[1, 2]], 255),
+            (b"P2 2 1 255 1 2 3 4 junk", [[1, 2]], 255),
+            (b"P2 2 1 3 0001 0", [[1, 0]], 3),
+        ],
+        ids=["comments", "separators", "eof-comment", "16-bit", "trailing", "extra", "zeros"],
+    )
+    def test_p2_accepted(self, tmp_path, data, samples, maxval):
+        path = tmp_path / "ok.pgm"
+        path.write_bytes(data)
+        assert np.array_equal(load_pgm(path).pixels, np.array(samples) / maxval)
+
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            (b"P2 2 1 255 1 x", MalformedHeaderError, "expected sample at byte 13, found b'x'"),
+            (b"P2 2 1 255 1 +2", MalformedHeaderError, "expected sample at byte 13, found b'+2'"),
+            (b"P2 2 1 255 -1 2", MalformedHeaderError, "expected sample at byte 11, found b'-1 2'"),
+            (
+                b"P2\n2 2\n255\n0 1 2 # c",
+                TruncatedPayloadError,
+                "payload truncated at byte 20: expected 4 samples, found 3",
+            ),
+            (b"P2\n2 \n", MalformedHeaderError, "expected height at byte 6, found b''"),
+            (b"P2 2 1 255 1 256", PgmError, "sample exceeds maxval 255 in payload of "),
+        ],
+        ids=["letter", "plus", "minus", "truncated", "header-eof", "above-maxval"],
+    )
+    def test_p2_rejected(self, tmp_path, data, error, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(PgmError) as info:
+            load_pgm(path)
+        assert type(info.value) is error
+        assert str(info.value).startswith(message)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), h=st.integers(1, 5), w=st.integers(1, 5), maxval=st.integers(1, 65535))
+    def test_p2_and_p5_load_identically(self, tmp_path_factory, data, h, w, maxval):
+        samples = data.draw(st.lists(st.integers(0, maxval), min_size=h * w, max_size=h * w))
+        fields = [b"P2", *(str(v).encode() for v in (w, h, maxval, *samples))]
+        ascii_pgm = b"".join(field + data.draw(SEPARATORS) for field in fields)
+        dtype = np.uint8 if maxval <= 255 else np.dtype(">u2")
+        binary_pgm = f"P5 {w} {h} {maxval}\n".encode() + np.array(samples, dtype=dtype).tobytes()
+        folder = tmp_path_factory.mktemp("pgm")
+        (folder / "a.pgm").write_bytes(ascii_pgm)
+        (folder / "b.pgm").write_bytes(binary_pgm)
+        expected = np.array(samples, dtype=np.float64).reshape(h, w) / maxval
+        assert np.array_equal(load_pgm(folder / "a.pgm").pixels, expected)
+        assert np.array_equal(load_pgm(folder / "b.pgm").pixels, expected)
 
     def test_unsupported_magic(self, tmp_path):
         path = tmp_path / "p6.pgm"
