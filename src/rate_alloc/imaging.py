@@ -9,6 +9,7 @@ function here is pure, so everything is safe to share across threads.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -174,36 +175,35 @@ def dct2_blocks(blocks: np.ndarray) -> np.ndarray:
 # PGM I/O (P2 ASCII and P5 binary, maxval <= 65535; written as P5 maxval 255)
 # ---------------------------------------------------------------------------
 
-class _PgmScanner:
-    """Tokenizer over PGM header bytes that tracks byte offsets for errors."""
+# Separators (ASCII whitespace, or a '#' comment through its newline or EOF),
+# then the digit run of one field; the run may be empty, so it always matches.
+_FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*(\d*)")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def skip_separators(self) -> None:
-        data = self.data
-        while self.pos < len(data):
-            c = data[self.pos : self.pos + 1]
-            if c.isspace():
-                self.pos += 1
-            elif c == b"#":
-                nl = data.find(b"\n", self.pos)
-                self.pos = len(data) if nl < 0 else nl + 1
-            else:
-                return
+def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """Read the unsigned decimal field at ``pos``; return it and the offset past it."""
+    match = _FIELD.match(data, pos)
+    start, end = match.span(1)
+    if start == end:
+        raise MalformedHeaderError(
+            f"expected {what} at byte {start}, found {data[start:start + 8]!r}"
+        )
+    return int(match[1]), end
 
-    def read_int(self, what: str) -> int:
-        self.skip_separators()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise MalformedHeaderError(
-                f"expected {what} at byte {start}, found "
-                f"{self.data[start:start + 8]!r}"
-            )
-        return int(self.data[start : self.pos])
+
+def _ascii_samples(data: bytes, pos: int, count: int, maxval: int):
+    """Yield ``count`` P2 samples from ``pos``, each capped at ``maxval + 1``."""
+    for found in range(count):
+        try:
+            value, pos = _read_int(data, pos, "sample")
+        except MalformedHeaderError:
+            if _FIELD.match(data, pos).end() < len(data):
+                raise
+            raise TruncatedPayloadError(
+                f"payload truncated at byte {len(data)}: expected {count} samples, found {found}"
+            ) from None
+        # the cap keeps a huge sample finite in float64; it still fails the maxval check
+        yield min(value, maxval + 1)
 
 
 def load_pgm(path) -> Image:
@@ -212,24 +212,20 @@ def load_pgm(path) -> Image:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise UnsupportedMagicError(f"unsupported magic {magic!r} at byte 0 (want P2 or P5)")
-    scanner = _PgmScanner(data)
-    scanner.pos = 2
-    width = scanner.read_int("width")
-    height = scanner.read_int("height")
-    maxval = scanner.read_int("maxval")
+    width, pos = _read_int(data, 2, "width")
+    height, pos = _read_int(data, pos, "height")
+    maxval, pos = _read_int(data, pos, "maxval")
     if width <= 0 or height <= 0 or not (1 <= maxval <= 65535):
         raise MalformedHeaderError(
             f"invalid dimensions or maxval ({width}x{height}, maxval {maxval}) "
-            f"in header ending at byte {scanner.pos}"
+            f"in header ending at byte {pos}"
         )
     count = width * height
 
     if magic == b"P5":
-        if scanner.pos >= len(data) or not data[scanner.pos : scanner.pos + 1].isspace():
-            raise MalformedHeaderError(
-                f"expected single whitespace after maxval at byte {scanner.pos}"
-            )
-        start = scanner.pos + 1
+        if pos >= len(data) or not data[pos : pos + 1].isspace():
+            raise MalformedHeaderError(f"expected single whitespace after maxval at byte {pos}")
+        start = pos + 1
         sample_bytes = 1 if maxval <= 255 else 2
         need = count * sample_bytes
         payload = data[start : start + need]
@@ -241,15 +237,8 @@ def load_pgm(path) -> Image:
         dtype = np.uint8 if sample_bytes == 1 else np.dtype(">u2")
         samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     else:
-        samples = np.empty(count, dtype=np.float64)
-        for i in range(count):
-            scanner.skip_separators()
-            if scanner.pos >= len(data):
-                raise TruncatedPayloadError(
-                    f"payload truncated at byte {scanner.pos}: "
-                    f"expected {count} samples, found {i}"
-                )
-            samples[i] = scanner.read_int("sample")
+        # No count: fromiter would allocate the header's width * height up front.
+        samples = np.fromiter(_ascii_samples(data, pos, count, maxval), dtype=np.float64)
 
     if samples.max(initial=0.0) > maxval:
         raise PgmError(f"sample exceeds maxval {maxval} in payload of {path}")

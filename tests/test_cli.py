@@ -84,6 +84,16 @@ class TestAllocate:
                    "--curve", "bad", "--out", out) == 2
 
 
+    @pytest.mark.parametrize(
+        "data", [b"P2 1 1 255 " + b"9" * 400, b"P2 1000000 1000000 255 1 2"], ids=["sample", "header"]
+    )
+    def test_oversized_p2_exits_two(self, tmp_path, capsys, data):
+        path = tmp_path / "big.pgm"
+        path.write_bytes(data)
+        assert run("allocate", "--image", path, "--rate", 0.1, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestOutputPermissions:
     @staticmethod
     def mode(path):

@@ -120,8 +120,16 @@ class TestPgm:
             ),
             (b"P2\n2 \n", MalformedHeaderError, "expected height at byte 6, found b''"),
             (b"P2 2 1 255 1 256", PgmError, "sample exceeds maxval 255 in payload of "),
+            (b"P2 1 1 255 " + b"9" * 400, PgmError, "sample exceeds maxval 255 in payload of "),
+            # 8 TB of float64 if preallocated: must fail on the payload, not on memory
+            (
+                b"P2 1000000 1000000 255 1 2",
+                TruncatedPayloadError,
+                "payload truncated at byte 26: expected 1000000000000 samples, found 2",
+            ),
         ],
-        ids=["letter", "plus", "minus", "truncated", "header-eof", "above-maxval"],
+        ids=["letter", "plus", "minus", "truncated", "header-eof", "above-maxval", "huge-sample",
+             "huge-header"],
     )
     def test_p2_rejected(self, tmp_path, data, error, message):
         path = tmp_path / "bad.pgm"
