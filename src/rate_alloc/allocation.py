@@ -49,10 +49,6 @@ class AllocationPlan:
         object.__setattr__(self, "per_block_M", m)
 
     @property
-    def per_block_rate(self) -> np.ndarray:
-        return self.per_block_M / (self.block_size * self.block_size)
-
-    @property
     def padded_pixel_count(self) -> int:
         return self.grid_rows * self.grid_cols * self.block_size * self.block_size
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,9 +108,12 @@ class KlAllocProblem:
     def size(self) -> int:
         return self.p.size
 
+    @cached_property
     def offsets(self) -> np.ndarray:
-        """The fixed-part offsets beta * r_i / alpha."""
-        return self.beta * self.r / self.alpha
+        """The fixed-part offsets beta * r_i / alpha, computed once per problem."""
+        offsets = self.beta * self.r / self.alpha
+        offsets.setflags(write=False)
+        return offsets
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ class KlAllocSolution:
 
 def q_of_mu(problem: KlAllocProblem, mu: float) -> np.ndarray:
     """Closed-form allocation clamp(mu * p - beta * r / alpha, 0, a)."""
-    raw = mu * problem.p - problem.offsets()
+    raw = mu * problem.p - problem.offsets
     return np.minimum(np.maximum(raw, 0.0), problem.a)
 
 
@@ -151,7 +155,7 @@ def q_total(problem: KlAllocProblem, mu: float) -> float:
 
 def _codes(problem: KlAllocProblem, mu: float) -> np.ndarray:
     """Clamp-state code per coordinate; boundary values go to lower/upper."""
-    raw = mu * problem.p - problem.offsets()
+    raw = mu * problem.p - problem.offsets
     codes = np.full(problem.size, _CENTER, dtype=np.int8)
     codes[raw <= 0.0] = _LOWER
     codes[(raw > 0.0) & (raw >= problem.a)] = _UPPER
@@ -185,7 +189,7 @@ def _newton_from_codes(problem: KlAllocProblem, codes: np.ndarray):
     denom = problem.p[center].sum()
     if denom <= 0.0:
         return None
-    numer = 1.0 + problem.offsets()[center].sum() - problem.a[codes == _UPPER].sum()
+    numer = 1.0 + problem.offsets[center].sum() - problem.a[codes == _UPPER].sum()
     if numer <= 0.0:
         return None
     return float(numer / denom)
@@ -201,7 +205,7 @@ def newton_step(problem: KlAllocProblem, mu: float):
 def _upper_bracket(problem: KlAllocProblem) -> float:
     """A mu at which every positive-weight coordinate is capped, so Q >= 1."""
     pos = problem.p > 0
-    return float(((problem.a[pos] + problem.offsets()[pos]) / problem.p[pos]).max())
+    return float(((problem.a[pos] + problem.offsets[pos]) / problem.p[pos]).max())
 
 
 def solve(problem: KlAllocProblem) -> KlAllocSolution:
@@ -227,8 +231,8 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
     by_newton = False
     cap = 10 * problem.size + 100
 
+    codes = _codes(problem, mu)
     for _ in range(cap):
-        codes = _codes(problem, mu)
         candidate = _newton_from_codes(problem, codes)
         if candidate is not None:
             if candidate == mu:
@@ -241,10 +245,11 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
                 hi = min(hi, mu)
             if lo < candidate < hi:
                 trace.append((candidate, NEWTON))
-                if np.array_equal(_codes(problem, candidate), codes):
+                next_codes = _codes(problem, candidate)
+                if np.array_equal(next_codes, codes):
                     mu_star, by_newton = candidate, True
                     break
-                mu = candidate
+                mu, codes = candidate, next_codes
                 continue
         else:
             total = q_total(problem, mu)
@@ -264,6 +269,7 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
             mu_star = mid
             break
         mu = mid
+        codes = _codes(problem, mu)
     if mu_star is None:
         raise SolverInternalError(f"no convergence within {cap} iterations")
 

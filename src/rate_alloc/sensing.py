@@ -84,10 +84,8 @@ def build_matrix(block_size: int, seed: int) -> MeasurementMatrix:
         q, _ = np.linalg.qr(gauss.T)
         rows = q.T
         # sign convention: first nonzero entry of each row positive
-        for i in range(dim):
-            nz = np.flatnonzero(rows[i])
-            if nz.size and rows[i, nz[0]] < 0:
-                rows[i] = -rows[i]
+        first = rows[np.arange(dim), np.argmax(rows != 0, axis=1)]
+        rows[first < 0] *= -1.0
         gram_err = np.abs(rows @ rows.T - np.eye(dim)).max()
         if gram_err <= 1e-9:
             return MeasurementMatrix(dim=dim, seed=seed, rows=rows)
