@@ -181,7 +181,7 @@ _FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*(\d*)")
 
 
 def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    """Read the unsigned decimal field at ``pos``; return it and the offset past it."""
+    """Skip separators at ``pos``; return the next unsigned decimal and the offset past it."""
     match = _FIELD.match(data, pos)
     start, end = match.span(1)
     if start == end:

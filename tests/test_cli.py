@@ -83,7 +83,6 @@ class TestAllocate:
         assert run("allocate", "--synthetic", "flat", "--rate", 0.1,
                    "--curve", "bad", "--out", out) == 2
 
-
     @pytest.mark.parametrize(
         "data", [b"P2 1 1 255 " + b"9" * 400, b"P2 1000000 1000000 255 1 2"], ids=["sample", "header"]
     )
