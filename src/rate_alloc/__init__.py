@@ -50,9 +50,7 @@ from .kl_solver import (
     objective,
     oracle_solve,
     q_of_mu,
-    q_slope,
     q_total,
-    segment_sets,
     solve,
 )
 from .multistage import (

@@ -99,23 +99,46 @@ def sparsity_ratio(coeff_blocks, threshold: float) -> float:
 
 
 def solve_threshold(coeff_blocks, target_ps: float) -> float:
-    """Exhaustively pick the threshold whose sparsity ratio is nearest the target.
+    """The threshold whose sparsity ratio is nearest the target.
 
     Candidates are 0 plus every distinct coefficient magnitude; exact ties
-    in |ratio - target| resolve to the smaller threshold.
+    in |ratio - target| resolve to the smaller threshold.  The result is
+    the threshold an exhaustive search over all candidates would pick,
+    found by linear-time selection instead.  Coefficients must not be NaN.
     """
     if not (0 < target_ps <= 1):
         raise ValueError("target sparsity ratio must lie in (0, 1]")
+    # a fresh array, so the in-place partition below never touches the caller's data
     mags = np.abs(np.asarray(coeff_blocks, dtype=np.float64)).reshape(-1)
-    if mags.size == 0:
+    n = mags.size
+    if n == 0:
         raise ValueError("empty coefficient set")
-    sorted_mags = np.sort(mags)
-    candidates = np.unique(np.concatenate(([0.0], sorted_mags)))
-    # count of |f| > T for each candidate T, via one binary search per candidate
-    above = mags.size - np.searchsorted(sorted_mags, candidates, side="right")
-    distances = np.abs(above / mags.size - target_ps)
-    # argmin returns the first minimum; candidates ascend, so ties pick smaller T
-    return float(candidates[np.argmin(distances)])
+    # The ratio above/n falls as T rises, so |ratio - target| falls while the
+    # ratio exceeds the target and rises after.  For n < 2**52 distinct counts
+    # give distinct floats, so the first minimum is one of the two candidates
+    # around the crossing.  k is the largest count whose ratio is at most the
+    # target, by the same float division as the scoring below.
+    target = float(target_ps)
+    k = min(int(target * n), n)
+    while k < n and (k + 1) / n <= target:
+        k += 1
+    while k / n > target:
+        k -= 1
+    if k == n:  # target 1: T = 0 hits it exactly
+        return 0.0
+    # hi, the (n - k)-th smallest magnitude, is the smallest candidate with at
+    # most k magnitudes above it; lo, the candidate just below it, has more
+    rank = n - k - 1
+    mags.partition(rank)
+    hi = mags[rank]
+    if hi == 0.0:  # no candidate lies below 0
+        return 0.0
+    below = mags[:rank] < hi
+    lo = mags[:rank].max(where=below, initial=0.0)
+    above = np.array([n - np.count_nonzero(below), np.count_nonzero(mags[rank + 1:] > hi)])
+    distances = np.abs(above / n - target)
+    # ties pick the smaller threshold, as argmin over ascending candidates does
+    return float(hi if distances[1] < distances[0] else lo)
 
 
 def measurement_bounds(k: int, block_len: int) -> float:

@@ -188,7 +188,12 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise MalformedHeaderError(
             f"expected {what} at byte {start}, found {data[start:start + 8]!r}"
         )
-    return int(match[1]), end
+    try:
+        return int(match[1]), end
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise MalformedHeaderError(
+            f"{what} at byte {start} is {end - start} digits long, too long to read"
+        ) from None
 
 
 def _ascii_samples(data: bytes, pos: int, count: int, maxval: int):
@@ -197,11 +202,16 @@ def _ascii_samples(data: bytes, pos: int, count: int, maxval: int):
         try:
             value, pos = _read_int(data, pos, "sample")
         except MalformedHeaderError:
-            if _FIELD.match(data, pos).end() < len(data):
+            field = _FIELD.match(data, pos)
+            if field.end(1) > field.start(1):
+                # a digit run too long to convert is far above any maxval
+                value, pos = maxval + 1, field.end()
+            elif field.end() < len(data):
                 raise
-            raise TruncatedPayloadError(
-                f"payload truncated at byte {len(data)}: expected {count} samples, found {found}"
-            ) from None
+            else:
+                raise TruncatedPayloadError(
+                    f"payload truncated at byte {len(data)}: expected {count} samples, found {found}"
+                ) from None
         # the cap keeps a huge sample finite in float64; it still fails the maxval check
         yield min(value, maxval + 1)
 

@@ -162,12 +162,12 @@ def _codes(problem: KlAllocProblem, mu: float) -> np.ndarray:
     return codes
 
 
-def q_slope(problem: KlAllocProblem, mu: float) -> float:
+def _q_slope(problem: KlAllocProblem, mu: float) -> float:
     """Q'(mu): the summed target weight of the un-clamped coordinates."""
     return float(problem.p[_codes(problem, mu) == _CENTER].sum())
 
 
-def segment_sets(problem: KlAllocProblem, mu: float) -> SegmentSets:
+def _segment_sets(problem: KlAllocProblem, mu: float) -> SegmentSets:
     """Partition coordinates into lower-clamped / interior / capped at mu."""
     codes = _codes(problem, mu)
     return SegmentSets(

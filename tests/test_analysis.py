@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rate_alloc.analysis import (
     Analysis,
@@ -17,8 +19,8 @@ from rate_alloc.analysis import (
     sparsity_ratio,
     target_sparsity_ratio,
 )
-from rate_alloc.imaging import dct2, dct2_blocks, partition
-from rate_alloc.synthetic import synthetic_image
+from rate_alloc.imaging import Image, dct2, dct2_blocks, partition
+from rate_alloc.synthetic import KINDS, synthetic_image
 
 
 class TestCurve:
@@ -120,6 +122,94 @@ class TestSolveThreshold:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             solve_threshold(np.empty((0, 2, 2)), 0.5)
+
+
+def exhaustive_threshold(coeff_blocks, target_ps):
+    """Reference: sort every magnitude, score every candidate, first minimum wins."""
+    mags = np.abs(np.asarray(coeff_blocks, dtype=np.float64)).reshape(-1)
+    sorted_mags = np.sort(mags)
+    candidates = np.unique(np.concatenate(([0.0], sorted_mags)))
+    # count of |f| > T for each candidate T, via one binary search per candidate
+    above = mags.size - np.searchsorted(sorted_mags, candidates, side="right")
+    distances = np.abs(above / mags.size - target_ps)
+    # argmin returns the first minimum; candidates ascend, so ties pick smaller T
+    return float(candidates[np.argmin(distances)])
+
+
+def seeded(draw_values):
+    return st.builds(lambda seed, n: draw_values(np.random.default_rng(seed), n),
+                     st.integers(0, 2**32 - 1), st.integers(1, 300))
+
+
+COEFFICIENT_SETS = st.one_of(
+    seeded(lambda rng, n: rng.standard_normal(n)),
+    # half-integer grid: many exact ties between magnitudes
+    st.lists(st.integers(-6, 6), min_size=1, max_size=300).map(lambda v: np.array(v) / 2),
+    # three levels only
+    st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=300).map(np.array),
+    # mostly exact zeros
+    seeded(lambda rng, n: rng.standard_normal(n) * (rng.random(n) < rng.uniform(0, 0.3))),
+    # one value repeated, and n = 1
+    st.builds(np.full, st.integers(1, 300), st.sampled_from([0.0, -0.0, 0.25, -3.0, 1e300])),
+    st.floats(allow_nan=False).map(lambda v: np.array([v])),
+)
+
+
+def targets(n):
+    """Uniform in (0, 1], an exact ratio k/n that a candidate can hit, or one ulp below it."""
+    return st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                     st.integers(1, n).map(lambda k: k / n),
+                     st.integers(1, n).map(lambda k: math.nextafter(k / n, 0.0)))
+
+
+def seeded_texture(seed, h, w):
+    """A smooth ramp plus clipped noise."""
+    rng = np.random.default_rng(seed)
+    ramp = np.linspace(0.0, 1.0, w)[None, :] * np.ones((h, 1))
+    return Image(np.clip(0.6 * ramp + 0.4 * rng.random((h, w)), 0.0, 1.0))
+
+
+class TestThresholdSelection:
+    """The linear-time selection returns the exhaustive search's float, bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(coeffs, target):
+        got = solve_threshold(coeffs, target)
+        assert type(got) is float
+        assert got.hex() == exhaustive_threshold(coeffs, target).hex()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), coeffs=COEFFICIENT_SETS)
+    def test_equals_exhaustive_search(self, data, coeffs):
+        self.assert_bit_equal(coeffs, data.draw(targets(coeffs.size)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), image=st.sampled_from([*KINDS, "texture"]),
+           block=st.sampled_from([8, 16]))
+    def test_equals_exhaustive_search_on_images(self, data, image, block):
+        if image == "texture":
+            pixels = seeded_texture(7, 5 * block + 3, 4 * block - 5)
+        else:
+            pixels = synthetic_image(image, block)
+        coeffs = dct2_blocks(partition(pixels, block).blocks)
+        self.assert_bit_equal(coeffs, data.draw(targets(coeffs.size)))
+
+    def test_ratio_crossing_ties_pick_smaller(self):
+        # target 0.375 lies halfway between the ratios 0.5 (T=2) and 0.25 (T=3)
+        assert solve_threshold(np.array([1.0, 2.0, 3.0, 4.0]), 0.375) == 2.0
+        # 0.75 lies halfway between the ratios 1 (T=0) and 0.5 (T=2)
+        assert solve_threshold(np.array([2.0, 2.0, 3.0, 3.0]), 0.75) == 0.0
+
+    def test_input_not_mutated(self):
+        coeffs = np.random.default_rng(17).standard_normal((6, 4, 4))
+        before = coeffs.copy()
+        solve_threshold(coeffs, 0.3)
+        assert np.array_equal(coeffs, before)
+
+    def test_read_only_input_accepted(self):
+        coeffs = np.random.default_rng(18).standard_normal((6, 4, 4))
+        coeffs.setflags(write=False)
+        assert solve_threshold(coeffs, 0.3) == exhaustive_threshold(coeffs, 0.3)
 
 
 def block_sparsity(block, threshold):

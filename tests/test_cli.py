@@ -92,6 +92,20 @@ class TestAllocate:
         assert run("allocate", "--image", path, "--rate", 0.1, "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2 1 1 255 " + b"9" * 5000, "error: sample exceeds maxval 255 in payload of "),
+            (b"P2 " + b"9" * 5000 + b" 1 255 0", "error: width at byte 3 is 5000 digits long"),
+        ],
+        ids=["sample", "header"],
+    )
+    def test_overlong_p2_field_exits_two(self, tmp_path, capsys, data, message):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(data)
+        assert run("allocate", "--image", path, "--rate", 0.1, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(message)
+
 
 class TestOutputPermissions:
     @staticmethod

@@ -127,9 +127,23 @@ class TestPgm:
                 TruncatedPayloadError,
                 "payload truncated at byte 26: expected 1000000000000 samples, found 2",
             ),
+            # past int()'s 4,300-digit conversion limit
+            (b"P2 1 1 255 " + b"9" * 5000, PgmError, "sample exceeds maxval 255 in payload of "),
+            (
+                b"P2 " + b"9" * 5000 + b" 1 255 0",
+                MalformedHeaderError,
+                "width at byte 3 is 5000 digits long, too long to read",
+            ),
+            (b"P2 1 1 " + b"0" * 4400 + b"1 0", MalformedHeaderError, "maxval at byte 7 is 4401 digits"),
+            # at the limit the header still reads and the payload is what fails
+            (
+                b"P2 " + b"9" * 4300 + b" 1 255 0",
+                TruncatedPayloadError,
+                "payload truncated at byte 4311: expected 9999",
+            ),
         ],
         ids=["letter", "plus", "minus", "truncated", "header-eof", "above-maxval", "huge-sample",
-             "huge-header"],
+             "huge-header", "long-sample", "long-header", "long-maxval", "limit-header"],
     )
     def test_p2_rejected(self, tmp_path, data, error, message):
         path = tmp_path / "bad.pgm"

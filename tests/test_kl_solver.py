@@ -10,6 +10,8 @@ from rate_alloc.kl_solver import (
     KlAllocProblem,
     STATUS_BISECTION,
     STATUS_NEWTON,
+    _q_slope,
+    _segment_sets,
     kkt_residual,
     newton_step,
     objective,
@@ -17,9 +19,7 @@ from rate_alloc.kl_solver import (
     problem_from_json,
     problem_to_json,
     q_of_mu,
-    q_slope,
     q_total,
-    segment_sets,
     solution_to_json,
     solve,
 )
@@ -54,7 +54,7 @@ class TestClosedForm:
     def test_q_total_and_slope(self):
         prob = hand_problem()
         assert q_total(prob, 1.0) == pytest.approx(0.6 - 1 / 3, abs=1e-15)
-        assert q_slope(prob, 1.0) == pytest.approx(0.6)
+        assert _q_slope(prob, 1.0) == pytest.approx(0.6)
 
     def test_saturation_beyond_bracket(self):
         prob = hand_problem()
@@ -78,18 +78,18 @@ class TestClosedForm:
                 mid = 0.5 * (left + right)
                 h = 0.25 * (right - left)
                 fd = (q_total(prob, mid + h) - q_total(prob, mid - h)) / (2 * h)
-                assert fd == pytest.approx(q_slope(prob, mid), rel=1e-9, abs=1e-12)
+                assert fd == pytest.approx(_q_slope(prob, mid), rel=1e-9, abs=1e-12)
 
 
 class TestSegmentSets:
     def test_hand_instance_at_one(self):
-        sets = segment_sets(hand_problem(), 1.0)
+        sets = _segment_sets(hand_problem(), 1.0)
         assert sets.center == {0}
         assert sets.lower == {1, 2}
         assert sets.upper == frozenset()
 
     def test_hand_instance_near_root_segment(self):
-        sets = segment_sets(hand_problem(), 20 / 9)
+        sets = _segment_sets(hand_problem(), 20 / 9)
         assert sets.upper == {0}
         assert sets.center == {1}
         assert sets.lower == {2}
@@ -98,7 +98,7 @@ class TestSegmentSets:
         rng = np.random.default_rng(22)
         for _ in range(20):
             prob = random_problem(rng)
-            sets = segment_sets(prob, float(rng.uniform(0.01, 5.0)))
+            sets = _segment_sets(prob, float(rng.uniform(0.01, 5.0)))
             union = sets.lower | sets.center | sets.upper
             assert union == set(range(prob.size))
             assert len(sets.lower) + len(sets.center) + len(sets.upper) == prob.size
@@ -106,7 +106,7 @@ class TestSegmentSets:
     def test_single_positive_weight(self):
         prob = KlAllocProblem(p=[0.0, 1.0], r=[0.5, 0.5], alpha=0.5, a=[1.0, 2.0])
         for mu in (0.5, 2.0, 50.0):
-            sets = segment_sets(prob, mu)
+            sets = _segment_sets(prob, mu)
             # the zero-weight coordinate never leaves the lower clamp
             assert 0 in sets.lower
             assert (sets.center | sets.upper) <= {1}
@@ -115,9 +115,9 @@ class TestSegmentSets:
         # mu*p - beta*r/alpha hits exactly 0 for coord 0 and exactly a for coord 1
         prob = KlAllocProblem(p=[0.25, 0.75], r=[0.5, 0.5], alpha=0.5, a=[2.0, 2.5])
         # offsets are [0.5, 0.5]; at mu=2 coord0 raw = 0; at mu=4 coord1 raw = 2.5
-        sets = segment_sets(prob, 2.0)
+        sets = _segment_sets(prob, 2.0)
         assert 0 in sets.lower
-        sets = segment_sets(prob, 4.0)
+        sets = _segment_sets(prob, 4.0)
         assert 1 in sets.upper
 
 
@@ -283,10 +283,10 @@ class TestLemmaOneProperty:
     def test_fixed_point_iff_shared_segment(self):
         prob = hand_problem()
         root = solve(prob).mu_star
-        root_sets = segment_sets(prob, root)
+        root_sets = _segment_sets(prob, root)
         # a point sharing the root's segment maps straight onto the root
         for mu in (2.5, 2.7, 2.9):
-            if segment_sets(prob, mu) == root_sets:
+            if _segment_sets(prob, mu) == root_sets:
                 assert newton_step(prob, mu) == pytest.approx(root, abs=1e-13)
 
     def test_degenerate_rate_near_initialization(self):
