@@ -216,6 +216,55 @@ def _ascii_samples(data: bytes, pos: int, count: int, maxval: int):
         yield min(value, maxval + 1)
 
 
+# P2 payload bytes per numpy pass (more than 5). Temporaries take ~20x this; at
+# 256 KiB a 4 MB file decodes faster than at 1 MiB, with under half the peak memory.
+_CHUNK = 1 << 18
+# 0: a byte \s matches (9-13 and 32), 1: a digit, 2: anything else
+_BYTE_KIND = np.full(256, 2, np.int8)
+_BYTE_KIND[[9, 10, 11, 12, 13, 32]] = 0
+_BYTE_KIND[ord("0") : ord("9") + 1] = 1
+
+
+def _bulk_samples(data: bytes, pos: int, count: int) -> np.ndarray | None:
+    """Decode ``count`` P2 samples from ``pos`` in bulk, as float64.
+
+    Returns None, leaving the payload to the field reader, unless it holds
+    only digits and separators, no digit run is longer than 5 and there
+    are at least ``count`` runs.
+    """
+    # a sample takes a digit and a separator: check before allocating for the header's count
+    if count > (len(data) - pos + 1) // 2:
+        return None
+    out = np.empty(count)
+    found = 0
+    while found < count and pos < len(data):
+        chunk = np.frombuffer(data, np.uint8, min(_CHUNK, len(data) - pos), pos)
+        kind = _BYTE_KIND.take(chunk)
+        if kind.max() > 1:
+            return None
+        if pos + chunk.size < len(data) and kind[-1]:
+            # end the chunk at its last separator, so no digit run spans two chunks
+            chunk = chunk[: chunk.size - int(np.argmin(kind[::-1]))]
+            kind = kind[: chunk.size]
+        # digit runs start and end where the mask flips; runs alternate with gaps
+        edges = np.flatnonzero(np.diff(kind.view(bool), prepend=False, append=False))
+        starts, ends = edges[::2], edges[1::2]
+        lengths = ends - starts
+        if lengths.max(initial=0) > 5:
+            return None
+        take = min(count - found, ends.size)
+        last, lengths = ends[:take] - 1, lengths[:take]
+        values = np.zeros(take, np.int64)
+        for back in range(int(lengths.max(initial=0)) - 1, -1, -1):
+            # Horner over the digits, right-aligned; a shorter run reads '0' above its start
+            digits = np.where(lengths > back, chunk[last - back], ord("0"))
+            values = values * 10 + (digits - ord("0"))
+        out[found : found + take] = values
+        found += take
+        pos += chunk.size
+    return out if found == count else None
+
+
 def load_pgm(path) -> Image:
     """Read a P2 (ASCII) or P5 (binary) PGM file, scaling intensities by maxval."""
     data = Path(path).read_bytes()
@@ -247,8 +296,11 @@ def load_pgm(path) -> Image:
         dtype = np.uint8 if sample_bytes == 1 else np.dtype(">u2")
         samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     else:
-        # No count: fromiter would allocate the header's width * height up front.
-        samples = np.fromiter(_ascii_samples(data, pos, count, maxval), dtype=np.float64)
+        samples = _bulk_samples(data, pos, count)
+        if samples is None:
+            # The field reader handles comments and words every error.  No count:
+            # fromiter would allocate the header's width * height up front.
+            samples = np.fromiter(_ascii_samples(data, pos, count, maxval), dtype=np.float64)
 
     if samples.max(initial=0.0) > maxval:
         raise PgmError(f"sample exceeds maxval {maxval} in payload of {path}")

@@ -195,5 +195,5 @@ def load_matrix(path) -> MeasurementMatrix:
     need = dim * dim * 8
     if len(data) != 16 + need:
         raise ValueError("matrix payload size mismatch")
-    rows = np.frombuffer(data[16:], dtype="<f8").reshape(dim, dim)
-    return MeasurementMatrix(dim=dim, seed=seed, rows=rows.copy())
+    rows = np.frombuffer(data, "<f8", offset=16).reshape(dim, dim)
+    return MeasurementMatrix(dim=dim, seed=seed, rows=rows)

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rate_alloc import imaging
 from rate_alloc.imaging import (
     BlockGrid,
     Image,
@@ -211,6 +213,127 @@ class TestPgm:
         save_pgm(img, path)
         back = load_pgm(path)
         assert np.abs(back.pixels - img.pixels).max() <= 1 / 510 + 1e-15
+
+
+SIX_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+
+
+@pytest.fixture(scope="module")
+def multi_chunk_p2():
+    """A 512x512 maxval-65535 payload several chunks long, and its samples.
+
+    Runs are 1-5 digits, one in eight zero-padded to five (``00042``), each
+    after exactly one separator cycling through all six.
+    """
+    rng = np.random.default_rng(5)
+    count = 512 * 512
+    samples = rng.integers(0, np.minimum(10 ** rng.integers(1, 6, size=count), 65536))
+    padded = rng.random(count) < 0.125
+    fields = [f"{v:05d}" if pad else str(v) for v, pad in zip(samples.tolist(), padded)]
+    separators = [SIX_SEPARATORS[i % 6].decode() for i in range(count)]
+    payload = "".join(sep + field for sep, field in zip(separators, fields)).encode()
+    assert len(payload) > 3 * imaging._CHUNK
+    return payload, samples.reshape(512, 512)
+
+
+def outcome(path):
+    """What load_pgm does with a file: its pixel bytes, or its error class and message."""
+    try:
+        return load_pgm(path).pixels.tobytes()
+    except PgmError as error:
+        return type(error), str(error)
+
+
+def load_pgm_bytes(folder, data):
+    path = folder / "f.pgm"
+    path.write_bytes(data)
+    return load_pgm(path)
+
+
+def fail_field_reader(*args):
+    raise AssertionError("a clean P2 payload reached the field reader")
+
+
+NOISE = st.sampled_from(
+    [b"#", b"# c\n", b"#1 2", b"a", b"Z", b"+", b"-", b"+1", b"-2", b"\x00", b"\x1c", b"\xff", b"1e3",
+     b" 65536", b" 123456789"]
+)
+
+
+@st.composite
+def small_p2_files(draw):
+    """Small P2 bytes: samples after separators, now and then noise, comments, junk or a cut."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.sampled_from([1, 9, 255, 65535]))
+    parts = [b"P2 ", b"%d %d %d" % (w, h, maxval)]
+    for _ in range(draw(st.just(w * h) | st.integers(0, w * h + 2))):
+        one_byte = draw(st.integers(0, 9)) > 0
+        parts.append(draw(st.sampled_from(SIX_SEPARATORS) if one_byte else SEPARATORS))
+        zeros = b"0" * draw(st.sampled_from([0, 0, 1, 4, 7]))
+        parts.append(zeros + b"%d" % draw(st.integers(0, maxval)))
+        if draw(st.integers(0, 29)) == 0:
+            parts.append(draw(NOISE))
+    parts.append(draw(st.sampled_from([b"", b"\n", b" ", b" x", b"\n# end"])))
+    return b"".join(parts)
+
+
+class TestBulkP2:
+    def test_bulk_matches_p5_across_chunk_edges(self, tmp_path, monkeypatch, multi_chunk_p2):
+        payload, samples = multi_chunk_p2
+        expected = load_pgm_bytes(tmp_path, b"P5 512 512 65535\n" + samples.astype(">u2").tobytes())
+        assert np.array_equal(expected.pixels, samples / 65535)
+        monkeypatch.setattr(imaging, "_ascii_samples", fail_field_reader)
+        header = b"P2 512 512 65535"
+        edge = len(header) + imaging._CHUNK  # where the first chunk ends
+        run_ends_at_edge = run_spans_edge = False
+        for shift in range(6):  # moves the first chunk edge over six payload bytes
+            data = header + b" " * shift + payload
+            run_ends_at_edge |= data[edge - 1 : edge].isdigit() and data[edge : edge + 1].isspace()
+            run_spans_edge |= data[edge - 1 : edge + 1].isdigit()
+            assert load_pgm_bytes(tmp_path, data).pixels.tobytes() == expected.pixels.tobytes()
+        assert run_ends_at_edge and run_spans_edge
+
+    def test_clean_p2_never_reaches_field_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(imaging, "_ascii_samples", fail_field_reader)
+        img = load_pgm_bytes(tmp_path, b"P2\n3 2\n255\n0 17 255\n0001\t00000\r\n9\n")
+        assert np.array_equal(img.pixels, np.array([[0, 17, 255], [1, 0, 9]]) / 255)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P2 3 1 255 # c\n1 2 3", b"P2 3 1 255 1 2 3 junk", b"P2 3 1 255 1 2 000003"],
+        ids=["comment", "trailing-junk", "six-digit-run"],
+    )
+    def test_other_payloads_go_through_field_reader(self, tmp_path, data):
+        calls, field_reader = [], imaging._ascii_samples
+
+        def spy(*args):
+            calls.append(args)
+            return field_reader(*args)
+
+        with mock.patch.object(imaging, "_ascii_samples", spy):
+            img = load_pgm_bytes(tmp_path, data)
+        assert len(calls) == 1
+        assert np.array_equal(img.pixels, np.array([[1, 2, 3]]) / 255)
+
+    def test_every_other_byte_left_to_field_reader(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        for byte in set(range(256)) - set(b"0123456789 \t\n\r\x0b\x0c"):
+            path.write_bytes(b"P2 2 1 255 1 " + bytes([byte]) + b" 2")
+            got = outcome(path)
+            with mock.patch.object(imaging, "_bulk_samples", return_value=None):
+                assert got == outcome(path), byte
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=small_p2_files(), chunk=st.sampled_from([6, 7, 11, imaging._CHUNK]))
+    def test_bulk_and_field_reader_agree(self, tmp_path_factory, data, chunk):
+        # the reference is load_pgm with the bulk decoder off: the field reader alone
+        path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+        path.write_bytes(data)
+        with mock.patch.object(imaging, "_CHUNK", chunk):
+            got = outcome(path)
+        with mock.patch.object(imaging, "_bulk_samples", return_value=None):
+            want = outcome(path)
+        assert got == want
 
 
 class TestPartition:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_problem
 from rate_alloc.kl_solver import (
@@ -256,6 +258,34 @@ class TestOracle:
         ref = oracle_solve(hand_problem())
         assert np.abs(ref.q - np.array([0.5, 0.5, 0.0])).max() <= 1e-10
         assert ref.status == STATUS_BISECTION
+
+
+class TestHardRegime:
+    """Weights over e^-25..1 with zeroed shares and alpha down to 1e-6, as in the solve workload."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.integers(1, 64), st.integers(65, 2048)),
+        log_alpha=st.floats(math.log(1e-6), 0.0),
+        zero_share=st.one_of(st.just(0.0), st.floats(0.0, 0.4)),
+        cap_total=st.floats(1.001, 4.0),
+    )
+    def test_oracle_gap_kkt_and_iteration_cap(self, seed, n, log_alpha, zero_share, cap_total):
+        rng = np.random.default_rng(seed)
+        p = np.exp(-rng.uniform(0.0, 25.0, size=n))
+        p[rng.random(n) < zero_share] = 0.0
+        if not (p > 0).any():
+            p[int(rng.integers(n))] = 1.0
+        a = rng.uniform(0.0, 2.0, size=n)
+        a *= cap_total / a[p > 0].sum()
+        prob = KlAllocProblem(
+            p=p, r=rng.exponential(size=n) + 1e-3, alpha=math.exp(log_alpha), a=a
+        )
+        sol = solve(prob)
+        assert np.abs(sol.q - oracle_solve(prob).q).max() <= 1e-8
+        assert kkt_residual(prob, sol.q, sol.mu_star) <= 1e-8
+        assert sol.iterations <= 10 * n + 100  # the cap solve() enforces
 
 
 class TestLemmaOneProperty:

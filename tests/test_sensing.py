@@ -272,6 +272,10 @@ class TestMatrixDump:
         back = load_matrix(path)
         assert back.dim == matrix8.dim and back.seed == matrix8.seed
         assert np.array_equal(back.rows, matrix8.rows)
+        assert back.rows.tobytes() == matrix8.rows.tobytes()
+        assert not back.rows.flags.writeable
+        with pytest.raises(ValueError):
+            back.rows[0, 0] = 0.0
 
     def test_header_layout(self, tmp_path, matrix8):
         path = tmp_path / "op.mbrm"
