@@ -36,7 +36,6 @@ class AllocationPlan:
     total_budget: int
     per_block_M: np.ndarray
     threshold: Optional[float]
-    bounds: Optional[BoundsProfile]
 
     def __post_init__(self):
         m = np.asarray(self.per_block_M, dtype=np.int64)
@@ -138,7 +137,6 @@ def plan_from_bounds(
         total_budget=budget,
         per_block_M=counts,
         threshold=threshold,
-        bounds=bounds,
     )
 
 

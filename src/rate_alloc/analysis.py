@@ -90,14 +90,6 @@ def target_sparsity_ratio(s_r: float, params: CurveParams = DEFAULT_CURVE) -> fl
     return p_s
 
 
-def sparsity_ratio(coeff_blocks, threshold: float) -> float:
-    """Fraction of coefficients with |f| > threshold over the padded grid."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    coeffs = np.asarray(coeff_blocks, dtype=np.float64)
-    return float((np.abs(coeffs) > threshold).sum() / coeffs.size)
-
-
 def solve_threshold(coeff_blocks, target_ps: float) -> float:
     """The threshold whose sparsity ratio is nearest the target.
 
@@ -172,13 +164,6 @@ def _bounds_from_counts(per_block_k: np.ndarray, block_len: int) -> BoundsProfil
     top = int(per_block_k.max(initial=0))
     table = np.array([measurement_bounds(k, block_len) for k in range(top + 1)])
     return BoundsProfile(per_block_m=table[per_block_k])
-
-
-def bounds_profile(coeff_blocks, threshold: float) -> BoundsProfile:
-    """Per-block measurement bounds under a threshold."""
-    coeffs = np.asarray(coeff_blocks, dtype=np.float64)
-    profile = sparsity_profile(coeffs, threshold)
-    return _bounds_from_counts(profile.per_block_k, coeffs.shape[-1] * coeffs.shape[-2])
 
 
 @dataclass(frozen=True)

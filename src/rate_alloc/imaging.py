@@ -146,26 +146,8 @@ def dct_matrix(size: int) -> np.ndarray:
     return _frozen(m)
 
 
-def dct2(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of a square block (energy preserving)."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ValueError("dct2 expects a square block")
-    m = dct_matrix(block.shape[0])
-    return m @ block @ m.T
-
-
-def idct2(coeffs: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`dct2`."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
-        raise ValueError("idct2 expects a square block")
-    m = dct_matrix(coeffs.shape[0])
-    return m.T @ coeffs @ m
-
-
 def dct2_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Apply :func:`dct2` to a stack of blocks, shape (n, B, B)."""
+    """Orthonormal 2-D DCT-II, M @ X @ M.T with M = dct_matrix(B), of each block X of (n, B, B)."""
     blocks = np.asarray(blocks, dtype=np.float64)
     m = dct_matrix(blocks.shape[-1])
     return m @ blocks @ m.T
@@ -312,8 +294,3 @@ def encode_pgm(image: Image) -> bytes:
     quantized = np.floor(image.pixels * 255.0 + 0.5).astype(np.uint8)
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     return header + quantized.tobytes()
-
-
-def save_pgm(image: Image, path) -> None:
-    """Write a binary P5 PGM with maxval 255, rounding intensities half-up."""
-    Path(path).write_bytes(encode_pgm(image))

@@ -117,15 +117,6 @@ class KlAllocProblem:
 
 
 @dataclass(frozen=True)
-class SegmentSets:
-    """Index partition by clamp state at a given mu (0-based indices)."""
-
-    lower: frozenset
-    center: frozenset
-    upper: frozenset
-
-
-@dataclass(frozen=True)
 class KlAllocSolution:
     q: np.ndarray
     mu_star: float
@@ -162,21 +153,6 @@ def _codes(problem: KlAllocProblem, mu: float) -> np.ndarray:
     return codes
 
 
-def _q_slope(problem: KlAllocProblem, mu: float) -> float:
-    """Q'(mu): the summed target weight of the un-clamped coordinates."""
-    return float(problem.p[_codes(problem, mu) == _CENTER].sum())
-
-
-def _segment_sets(problem: KlAllocProblem, mu: float) -> SegmentSets:
-    """Partition coordinates into lower-clamped / interior / capped at mu."""
-    codes = _codes(problem, mu)
-    return SegmentSets(
-        lower=frozenset(np.flatnonzero(codes == _LOWER).tolist()),
-        center=frozenset(np.flatnonzero(codes == _CENTER).tolist()),
-        upper=frozenset(np.flatnonzero(codes == _UPPER).tolist()),
-    )
-
-
 def _newton_from_codes(problem: KlAllocProblem, codes: np.ndarray):
     """The linear-segment root implied by a clamp classification, or None.
 
@@ -193,13 +169,6 @@ def _newton_from_codes(problem: KlAllocProblem, codes: np.ndarray):
     if numer <= 0.0:
         return None
     return float(numer / denom)
-
-
-def newton_step(problem: KlAllocProblem, mu: float):
-    """One Newton update on Q(mu) = 1; None signals a degenerate step."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return _newton_from_codes(problem, _codes(problem, mu))
 
 
 def _upper_bracket(problem: KlAllocProblem) -> float:
@@ -340,43 +309,30 @@ def kkt_residual(problem: KlAllocProblem, q: np.ndarray, mu_star: float) -> floa
     )
 
 
-def objective(problem: KlAllocProblem, q: np.ndarray) -> float:
-    """The program's objective -sum_i p_i * log(alpha * q_i + beta * r_i)."""
-    q = np.asarray(q, dtype=np.float64)
-    mix = problem.alpha * q + problem.beta * problem.r
-    pos = problem.p > 0
-    if (mix[pos] <= 0).any():
-        raise ValueError("nonpositive mixture under a positive target weight")
-    return float(-(problem.p[pos] * np.log(mix[pos])).sum())
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------------
 
 def problem_from_json(text: str) -> KlAllocProblem:
-    """Parse {"p": [...], "r": [...], "alpha": x, "a": [...]} (beta derived)."""
-    doc = json.loads(text)
+    """Parse {"p": [...], "r": [...], "alpha": x, "a": [...]} (beta derived).
+
+    Any other document raises ValueError, naming the field at fault.
+    """
     try:
-        return KlAllocProblem(
-            p=np.asarray(doc["p"], dtype=np.float64),
-            r=np.asarray(doc["r"], dtype=np.float64),
-            alpha=float(doc["alpha"]),
-            a=np.asarray(doc["a"], dtype=np.float64),
-        )
-    except KeyError as exc:
-        raise ValueError(f"problem JSON missing field {exc}") from exc
-
-
-def problem_to_json(problem: KlAllocProblem) -> str:
-    return json.dumps(
-        {
-            "p": problem.p.tolist(),
-            "r": problem.r.tolist(),
-            "alpha": problem.alpha,
-            "a": problem.a.tolist(),
-        }
-    )
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("problem JSON nests too deeply to parse") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"problem JSON must be an object, not {type(doc).__name__}")
+    fields = {}
+    for name in ("p", "r", "alpha", "a"):
+        if name not in doc:
+            raise ValueError(f"problem JSON missing field '{name}'")
+        try:
+            fields[name] = float(doc[name]) if name == "alpha" else np.asarray(doc[name], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"problem JSON field '{name}': {exc}") from None
+    return KlAllocProblem(**fields)
 
 
 def solution_to_json(solution: KlAllocSolution) -> str:

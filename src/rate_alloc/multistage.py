@@ -103,22 +103,8 @@ def upper_bounds(cumulative_M, s_r_t: float, pixels: int, block_size: int) -> np
     return (block_size * block_size - cumulative) / (s_r_t * pixels)
 
 
-def predict_bounds_energy(padded_measurements: np.ndarray, stage_M_so_far: int) -> float:
-    """Measurement-only heuristic: spread of the AC-like measured values.
-
-    Standard deviation of entries 2..M of the zero-padded measurement
-    vector (the first entry acts as a DC stand-in), floored at a small
-    epsilon so downstream ratios and logs stay defined.
-    """
-    values = np.asarray(padded_measurements, dtype=np.float64)[1:stage_M_so_far]
-    spread = float(np.std(values)) if values.size else 0.0
-    return max(spread, PREDICTION_FLOOR)
-
-
 class BoundsPredictor:
     """Measurement-bound predictor for every block at once."""
-
-    name = "base"
 
     def begin_run(self, true_bounds: np.ndarray) -> None:
         """Called once per run before any prediction; only the oracle uses `true_bounds`."""
@@ -135,8 +121,6 @@ class BoundsPredictor:
 class OracleBoundsPredictor(BoundsPredictor):
     """Returns the true bounds; an upper bound on any predictor's skill."""
 
-    name = "oracle"
-
     def __init__(self):
         self._bounds = None
 
@@ -148,9 +132,10 @@ class OracleBoundsPredictor(BoundsPredictor):
 
 
 class EnergyBoundsPredictor(BoundsPredictor):
-    """Measurement-only heuristic predictor: `predict_bounds_energy` per block."""
+    """Measurement-only heuristic: each block's standard deviation of its values.
 
-    name = "energy"
+    The first value, a DC stand-in, is left out; results are floored at PREDICTION_FLOOR.
+    """
 
     def predict(self, values, counts):
         predicted = np.full(counts.size, PREDICTION_FLOOR)

@@ -10,15 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import bounds_of, random_problem
 from rate_alloc.allocation import round_half_up, single_stage_plan, uniform_plan
-from rate_alloc.analysis import DEFAULT_CURVE, bounds_profile, target_sparsity_ratio
-from rate_alloc.imaging import Image, dct2, dct2_blocks, dct_matrix, idct2, partition
+from rate_alloc.analysis import DEFAULT_CURVE, target_sparsity_ratio
+from rate_alloc.imaging import Image, dct2_blocks, dct_matrix, partition
 from rate_alloc.kl_solver import (
     KlAllocProblem,
     STATUS_NEWTON,
+    _codes,
+    _newton_from_codes,
     kkt_residual,
-    newton_step,
     oracle_solve,
     q_total,
     solve,
@@ -99,7 +100,7 @@ def test_c03_lemma_one_direction():
             if pairs >= 10000:
                 break
             mu = float(rng.uniform(1e-9, hi))
-            step = newton_step(prob, mu)
+            step = _newton_from_codes(prob, _codes(prob, mu))
             pairs += 1
             if step is None:
                 degenerate += 1
@@ -159,8 +160,9 @@ def test_c07_transform_and_operator_algebra(matrix32):
         assert np.abs(m.T @ m - np.eye(b)).max() <= 1e-12
     rng = np.random.default_rng(77)
     for b in (4, 8, 32):
-        block = rng.standard_normal((b, b))
-        assert np.abs(idct2(dct2(block)) - block).max() <= 1e-10
+        blocks = rng.standard_normal((1, b, b))
+        m = dct_matrix(b)
+        assert np.abs(m.T @ dct2_blocks(blocks) @ m - blocks).max() <= 1e-10
     gram_err = np.abs(matrix32.rows @ matrix32.rows.T - np.eye(1024)).max()
     assert gram_err <= 1e-9
     worst_pyth = 0.0
@@ -230,7 +232,7 @@ def test_c09_adaptive_benefit():
     assert psnr_multi >= psnr_uniform
 
     coeffs = dct2_blocks(grid.blocks)
-    true_m = bounds_profile(coeffs, adaptive.threshold).per_block_m
+    true_m = bounds_of(coeffs, adaptive.threshold)
     _, kl_multi = kl_diagnostic(true_m, multi.final_M.astype(float))
     _, kl_uniform = kl_diagnostic(true_m, uniform.per_block_M.astype(float))
     assert kl_multi <= kl_uniform

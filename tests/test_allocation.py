@@ -11,8 +11,8 @@ from rate_alloc.allocation import (
     single_stage_plan,
     uniform_plan,
 )
-from rate_alloc.analysis import BoundsProfile
-from rate_alloc.imaging import Image
+from rate_alloc.analysis import BoundsProfile, analyze
+from rate_alloc.imaging import Image, partition
 from rate_alloc.synthetic import synthetic_image
 
 
@@ -123,9 +123,9 @@ class TestSingleStagePlan:
         assert (plan.per_block_M == 1024).all()
 
     def test_monotone_fairness(self):
-        plan = single_stage_plan(synthetic_image("gradient"), 32, 0.25)
-        m = plan.per_block_M
-        bounds = plan.bounds.per_block_m
+        img = synthetic_image("gradient")
+        m = single_stage_plan(img, 32, 0.25).per_block_M
+        bounds = analyze(partition(img, 32), 0.25).bounds.per_block_m
         for i in range(m.size):
             for j in range(m.size):
                 if bounds[i] >= bounds[j]:
@@ -174,7 +174,6 @@ class TestPlanType:
                 total_budget=5,
                 per_block_M=np.array([2, 2]),
                 threshold=None,
-                bounds=None,
             )
 
     def test_cap_violation_rejected(self):
@@ -187,5 +186,4 @@ class TestPlanType:
                 total_budget=7,
                 per_block_M=np.array([5, 2]),
                 threshold=None,
-                bounds=None,
             )

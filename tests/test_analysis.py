@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bounds_of
 from rate_alloc.analysis import (
     Analysis,
     BoundsProfile,
     CurveParams,
     DEFAULT_CURVE,
     analyze,
-    bounds_profile,
     measurement_bounds,
     solve_threshold,
     sparsity_profile,
-    sparsity_ratio,
     target_sparsity_ratio,
 )
-from rate_alloc.imaging import Image, dct2, dct2_blocks, partition
+from rate_alloc.imaging import Image, dct2_blocks, partition
 from rate_alloc.synthetic import KINDS, synthetic_image
 
 
@@ -54,20 +53,20 @@ class TestCurve:
 class TestSparsityRatio:
     def test_zero_threshold_all_nonzero(self):
         blocks = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert sparsity_ratio(blocks, 0.0) == 1.0
+        assert sparsity_profile(blocks, 0.0).overall_ratio == 1.0
 
     def test_above_max_is_zero(self):
         blocks = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert sparsity_ratio(blocks, 5.0) == 0.0
+        assert sparsity_profile(blocks, 5.0).overall_ratio == 0.0
 
     def test_hand_count_two_blocks(self):
         blocks = np.array([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 0.0], [0.0, 5.0]]])
         # magnitudes above 2.5: {3, 4, 5} out of 8
-        assert sparsity_ratio(blocks, 2.5) == 3 / 8
+        assert sparsity_profile(blocks, 2.5).overall_ratio == 3 / 8
 
     def test_strict_inequality(self):
         blocks = np.array([[[2.0, 2.0], [2.0, 2.0]]])
-        assert sparsity_ratio(blocks, 2.0) == 0.0
+        assert sparsity_profile(blocks, 2.0).overall_ratio == 0.0
 
 
 def enumerate_best_threshold(blocks, target):
@@ -116,7 +115,7 @@ class TestSolveThreshold:
         rng = np.random.default_rng(13)
         blocks = rng.standard_normal((2, 8, 8))
         candidates = np.sort(np.unique(np.concatenate(([0.0], np.abs(blocks).ravel()))))
-        ratios = [sparsity_ratio(blocks, t) for t in candidates]
+        ratios = [sparsity_profile(blocks, t).overall_ratio for t in candidates]
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
     def test_empty_rejected(self):
@@ -256,24 +255,22 @@ class TestMeasurementBounds:
 
 class TestProfiles:
     def test_all_zero_grid(self):
-        profile = bounds_profile(np.zeros((4, 2, 2)), 0.0)
-        assert not profile.per_block_m.any()
+        assert not bounds_of(np.zeros((4, 2, 2)), 0.0).any()
 
     def test_identical_blocks_equal_bounds(self):
         rng = np.random.default_rng(14)
         block = rng.standard_normal((4, 4))
-        profile = bounds_profile(np.stack([block] * 5), 0.5)
-        assert np.ptp(profile.per_block_m) == 0.0
+        assert np.ptp(bounds_of(np.stack([block] * 5), 0.5)) == 0.0
 
     def test_textured_block_dominates(self):
-        flat = dct2(np.full((8, 8), 0.5))
-        checker = dct2((np.add.outer(np.arange(8), np.arange(8)) % 2).astype(float))
-        profile = bounds_profile(np.stack([flat, flat, checker, flat]), 1e-6)
-        m = profile.per_block_m
+        flat = np.full((8, 8), 0.5)
+        checker = (np.add.outer(np.arange(8), np.arange(8)) % 2).astype(float)
+        coeffs = dct2_blocks(np.stack([flat, flat, checker, flat]))
+        m = bounds_of(coeffs, 1e-6)
         assert m[2] > m[[0, 1, 3]].max()
         # a flat block keeps only its DC coefficient: k = 1, bound log10(64)
         assert m[0] == pytest.approx(math.log10(64), abs=1e-12)
-        assert bounds_profile(flat[None], 0.5).per_block_m[0] == m[0]
+        assert bounds_of(coeffs[:1], 0.5)[0] == m[0]
 
     def test_overall_ratio_identity(self):
         rng = np.random.default_rng(15)
@@ -287,7 +284,7 @@ class TestProfiles:
         for threshold in (0.0, 0.3, 1.0, 10.0):
             k = sparsity_profile(blocks, threshold).per_block_k
             expected = [measurement_bounds(int(v), 64) for v in k]
-            assert bounds_profile(blocks, threshold).per_block_m.tolist() == expected
+            assert bounds_of(blocks, threshold).tolist() == expected
 
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -306,7 +303,7 @@ class TestAnalyze:
         sparsity = sparsity_profile(coeffs, result.threshold)
         assert np.array_equal(result.sparsity.per_block_k, sparsity.per_block_k)
         assert result.sparsity.overall_ratio == sparsity.overall_ratio
-        expected = bounds_profile(coeffs, result.threshold).per_block_m
+        expected = bounds_of(coeffs, result.threshold)
         assert np.array_equal(result.bounds.per_block_m, expected)
 
     def test_keeps_no_coefficients(self):

@@ -11,7 +11,7 @@ import pytest
 
 import rate_alloc
 from rate_alloc import cli, kl_solver
-from rate_alloc.imaging import Image, load_pgm, save_pgm
+from rate_alloc.imaging import Image, encode_pgm, load_pgm
 from rate_alloc.synthetic import synthetic_image
 
 HAND_PROBLEM = {
@@ -54,7 +54,7 @@ class TestAnalyze:
     def test_real_pgm_input(self, tmp_path):
         rng = np.random.default_rng(71)
         path = tmp_path / "img.pgm"
-        save_pgm(Image(rng.random((40, 56))), path)
+        path.write_bytes(encode_pgm(Image(rng.random((40, 56)))))
         assert run("analyze", "--image", path, "--rate", 0.25, "--out", tmp_path / "o") == 0
 
 
@@ -221,6 +221,25 @@ class TestSolve:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run("solve", path) == 2
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[1, 2]", "object"),
+            ('"x"', "object"),
+            (json.dumps({**HAND_PROBLEM, "alpha": None}), "'alpha'"),
+            (json.dumps({**HAND_PROBLEM, "alpha": [0.5]}), "'alpha'"),
+            (json.dumps({**HAND_PROBLEM, "p": {"x": 1}}), "'p'"),
+            ("[" * 100_000 + "]" * 100_000, "nests"),
+        ],
+        ids=["list", "string", "alpha-null", "alpha-list", "p-object", "deep"],
+    )
+    def test_wrong_shape_exits_two(self, tmp_path, capsys, text, field):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        assert run("solve", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
 
 class TestCompare:

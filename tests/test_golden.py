@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from rate_alloc import cli, sensing
-from rate_alloc.imaging import Image, save_pgm
+from rate_alloc.imaging import Image, encode_pgm
 from rate_alloc.multistage import PREDICTORS, run_simulation
 from rate_alloc.synthetic import KINDS, synthetic_image
 
@@ -124,7 +124,7 @@ def compare_record(name, stages, predictor, tmp_path: Path) -> list:
     source = ["--synthetic", name]
     if name not in KINDS:
         path = tmp_path / f"{name}.pgm"
-        save_pgm(texture(name), path)
+        path.write_bytes(encode_pgm(texture(name)))
         source = ["--image", str(path)]
     out = tmp_path / "out"
     argv = ["compare", *source, "--block-size", str(COMPARE_BLOCK), "--rate", "0.1",

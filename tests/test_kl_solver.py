@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,19 +13,58 @@ from rate_alloc.kl_solver import (
     KlAllocProblem,
     STATUS_BISECTION,
     STATUS_NEWTON,
-    _q_slope,
-    _segment_sets,
+    _CENTER,
+    _LOWER,
+    _UPPER,
+    _codes,
+    _newton_from_codes,
     kkt_residual,
-    newton_step,
-    objective,
     oracle_solve,
     problem_from_json,
-    problem_to_json,
     q_of_mu,
     q_total,
     solution_to_json,
     solve,
 )
+
+
+@dataclass(frozen=True)
+class SegmentSets:
+    """Index partition by clamp state at a given mu (0-based indices)."""
+
+    lower: frozenset
+    center: frozenset
+    upper: frozenset
+
+
+def _q_slope(problem: KlAllocProblem, mu: float) -> float:
+    """Q'(mu): the summed target weight of the un-clamped coordinates."""
+    return float(problem.p[_codes(problem, mu) == _CENTER].sum())
+
+
+def _segment_sets(problem: KlAllocProblem, mu: float) -> SegmentSets:
+    """Partition coordinates into lower-clamped / interior / capped at mu."""
+    codes = _codes(problem, mu)
+    return SegmentSets(
+        lower=frozenset(np.flatnonzero(codes == _LOWER).tolist()),
+        center=frozenset(np.flatnonzero(codes == _CENTER).tolist()),
+        upper=frozenset(np.flatnonzero(codes == _UPPER).tolist()),
+    )
+
+
+def objective(problem: KlAllocProblem, q: np.ndarray) -> float:
+    """The program's objective -sum_i p_i * log(alpha * q_i + beta * r_i)."""
+    q = np.asarray(q, dtype=np.float64)
+    mix = problem.alpha * q + problem.beta * problem.r
+    pos = problem.p > 0
+    if (mix[pos] <= 0).any():
+        raise ValueError("nonpositive mixture under a positive target weight")
+    return float(-(problem.p[pos] * np.log(mix[pos])).sum())
+
+
+def newton(problem: KlAllocProblem, mu: float):
+    """The Newton update `solve` takes from mu; None signals a degenerate step."""
+    return _newton_from_codes(problem, _codes(problem, mu))
 
 
 def hand_problem():
@@ -125,24 +165,20 @@ class TestSegmentSets:
 
 class TestNewtonStep:
     def test_first_step_from_one(self):
-        assert newton_step(hand_problem(), 1.0) == pytest.approx(20 / 9, abs=1e-15)
+        assert newton(hand_problem(), 1.0) == pytest.approx(20 / 9, abs=1e-15)
 
     def test_second_step(self):
-        assert newton_step(hand_problem(), 20 / 9) == pytest.approx(25 / 9, abs=1e-14)
+        assert newton(hand_problem(), 20 / 9) == pytest.approx(25 / 9, abs=1e-14)
 
     def test_fixed_point_at_root(self):
         prob = hand_problem()
         root = solve(prob).mu_star
-        assert newton_step(prob, root) == pytest.approx(root, abs=1e-14)
+        assert newton(prob, root) == pytest.approx(root, abs=1e-14)
 
     def test_degenerate_step_signal(self):
         prob = hand_problem()
         # at tiny mu every coordinate sits at the lower clamp: no slope
-        assert newton_step(prob, 1e-12) is None
-
-    def test_nonpositive_mu_rejected(self):
-        with pytest.raises(ValueError):
-            newton_step(hand_problem(), 0.0)
+        assert newton(prob, 1e-12) is None
 
 
 class TestSolve:
@@ -299,7 +335,7 @@ class TestLemmaOneProperty:
             hi = float(((prob.a[pos] + prob.beta * prob.r[pos] / prob.alpha) / prob.p[pos]).max())
             for _ in range(10):
                 mu = float(rng.uniform(1e-9, hi))
-                step = newton_step(prob, mu)
+                step = newton(prob, mu)
                 pairs += 1
                 if step is None:
                     degenerate += 1
@@ -317,7 +353,7 @@ class TestLemmaOneProperty:
         # a point sharing the root's segment maps straight onto the root
         for mu in (2.5, 2.7, 2.9):
             if _segment_sets(prob, mu) == root_sets:
-                assert newton_step(prob, mu) == pytest.approx(root, abs=1e-13)
+                assert newton(prob, mu) == pytest.approx(root, abs=1e-13)
 
     def test_degenerate_rate_near_initialization(self):
         rng = np.random.default_rng(31)
@@ -332,7 +368,7 @@ class TestLemmaOneProperty:
                 if mu <= 0:
                     continue
                 sampled += 1
-                if newton_step(prob, mu) is None:
+                if newton(prob, mu) is None:
                     degenerate += 1
         assert sampled > 1000
         assert degenerate / sampled < 0.01
@@ -409,11 +445,32 @@ class TestObjective:
             objective(prob, np.array([0.0]))
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+# documents shaped like a problem, each field present or not, well typed or not;
+# fields of two in-range numbers often make a valid problem
+PAIRS = st.lists(st.floats(0.0, 4.0), min_size=2, max_size=2)
+PROBLEM_DOCUMENTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "p": PAIRS | JSON_VALUES,
+        "r": PAIRS | JSON_VALUES,
+        "alpha": st.floats(0.0, 1.0) | JSON_VALUES,
+        "a": PAIRS | JSON_VALUES,
+    },
+)
+
+
 class TestSerialization:
     def test_problem_round_trip_full_precision(self):
         rng = np.random.default_rng(34)
         prob = random_problem(rng, n=7)
-        back = problem_from_json(problem_to_json(prob))
+        text = json.dumps({"p": prob.p.tolist(), "r": prob.r.tolist(), "alpha": prob.alpha,
+                           "a": prob.a.tolist()})
+        back = problem_from_json(text)
         assert np.array_equal(back.p, prob.p)
         assert np.array_equal(back.r, prob.r)
         assert np.array_equal(back.a, prob.a)
@@ -429,3 +486,13 @@ class TestSerialization:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
             problem_from_json('{"p": [1.0], "alpha": 0.5}')
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=st.one_of(JSON_VALUES, PROBLEM_DOCUMENTS))
+    def test_any_document_parses_or_raises_value_error(self, document):
+        # an infeasible but well-formed problem has its own error (CLI exit 4)
+        try:
+            problem = problem_from_json(json.dumps(document))
+        except (ValueError, InfeasibleProblemError):
+            return
+        assert isinstance(problem, KlAllocProblem)

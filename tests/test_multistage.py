@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bounds_of
 from rate_alloc.allocation import round_half_up, uniform_plan
-from rate_alloc.analysis import bounds_profile
-from rate_alloc.imaging import dct2, dct2_blocks, partition
+from rate_alloc.imaging import dct2_blocks, partition
 from rate_alloc.multistage import (
     BoundsPredictor,
     EnergyBoundsPredictor,
@@ -14,13 +14,24 @@ from rate_alloc.multistage import (
     fixed_ratio,
     kl_diagnostic,
     mixing_coeffs,
-    predict_bounds_energy,
     run_simulation,
     stage_rate,
     upper_bounds,
 )
 from rate_alloc.sensing import build_matrix, sample_rows
 from rate_alloc.synthetic import synthetic_image
+
+
+def predict_bounds_energy(padded_measurements: np.ndarray, stage_M_so_far: int) -> float:
+    """Measurement-only heuristic: spread of the AC-like measured values.
+
+    Standard deviation of entries 2..M of the zero-padded measurement
+    vector (the first entry acts as a DC stand-in), floored at a small
+    epsilon so downstream ratios and logs stay defined.
+    """
+    values = np.asarray(padded_measurements, dtype=np.float64)[1:stage_M_so_far]
+    spread = float(np.std(values)) if values.size else 0.0
+    return max(spread, PREDICTION_FLOOR)
 
 
 class TestStageRate:
@@ -125,13 +136,13 @@ class TestPredictors:
         img = synthetic_image("gradient")
         plan = run_simulation(img, 32, 0.2, 2, OracleBoundsPredictor(), matrix32)
         coeffs = dct2_blocks(partition(img, 32).blocks)
-        expected = bounds_profile(coeffs, plan.threshold).per_block_m
+        expected = bounds_of(coeffs, plan.threshold)
         assert np.array_equal(plan.stages[1].predicted_bounds, expected)
 
     def test_flat_block_near_zero(self):
-        coeffs = dct2(np.full((8, 8), 0.5))
+        coeffs = dct2_blocks(np.full((1, 8, 8), 0.5))
         oracle = OracleBoundsPredictor()
-        oracle.begin_run(bounds_profile(coeffs[None], 0.5).per_block_m)
+        oracle.begin_run(bounds_of(coeffs, 0.5))
         predicted = oracle.predict(np.zeros((1, 64)), np.array([1]))
         assert predicted[0] == pytest.approx(
             math.log10(64), abs=1e-12
@@ -252,7 +263,7 @@ class TestRunSimulation:
             plan = run_simulation(img, 32, 0.1, 2, OracleBoundsPredictor(), matrix32)
             grid = partition(img, 32)
             coeffs = dct2_blocks(grid.blocks)
-            true_m = bounds_profile(coeffs, plan.threshold).per_block_m
+            true_m = bounds_of(coeffs, plan.threshold)
             uniform = uniform_plan(img, 32, 0.1).per_block_M
             _, kl_adaptive = kl_diagnostic(true_m, plan.final_M.astype(float))
             _, kl_uniform = kl_diagnostic(true_m, uniform.astype(float))
