@@ -5,7 +5,7 @@ import pytest
 
 from conftest import bounds_of
 from rate_alloc.allocation import round_half_up, uniform_plan
-from rate_alloc.imaging import dct2_blocks, partition
+from rate_alloc.imaging import Image, dct2_blocks, partition
 from rate_alloc.multistage import (
     BoundsPredictor,
     EnergyBoundsPredictor,
@@ -323,6 +323,25 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match=r"at most 1 stage\(s\)"):
             run_simulation(synthetic_image("flat", 8), 8, 0.01, 2, OracleBoundsPredictor(),
                            build_matrix(8, 1))
+
+    def test_spent_stage_takes_nothing_and_never_predicts(self):
+        class Refusing(BoundsPredictor):
+            def predict(self, values, counts):
+                raise AssertionError("a spent stage must not predict")
+
+        # one 2x2 block at rate 0.3: stage 1 spends round(0.6) = 1 of the 4 pixels,
+        # which leaves stage 2 a rate of 0.3 - 1/4 and a budget of round(0.2) = 0
+        img = Image(np.full((2, 2), 0.5))
+        plan = run_simulation(img, 2, 0.3, 2, Refusing(), build_matrix(2, 1))
+        first, spent = plan.stages
+        assert first.budget == 1 and first.stage_M.tolist() == [1]
+        assert spent.stage_rate == pytest.approx(0.05, abs=1e-15) and spent.stage_rate < 0.05
+        assert spent.budget == 0
+        assert (spent.alpha, spent.beta) == (0.0, 1.0)
+        assert spent.stage_M.tolist() == [0] and spent.cumulative_M.tolist() == [1]
+        assert spent.predicted_bounds is None and spent.problem is None and spent.solution is None
+        assert plan.diagnostics == (None, None)
+        assert plan.final_M.tolist() == [1] and plan.records.counts.tolist() == [1]
 
     def test_full_rate_saturates_all_blocks(self, matrix32):
         img = synthetic_image("checkerboard")
