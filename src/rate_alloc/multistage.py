@@ -238,9 +238,13 @@ def simulate(
 ) -> MultiStagePlan:
     """Run the N-stage protocol end to end and record every measurement.
 
-    N = 1 degenerates to plain uniform sampling at the full rate.  The
-    analysis supplies the grid, the rate and the true bounds, which the
-    oracle predictor and the KL diagnostics read.
+    Each stage shares its catch-up budget out, apportions the shares under
+    the blocks' headroom and samples the rows it adds.  Stage 1 shares
+    equally; a spent stage (budget 0) shares nothing and never predicts;
+    any other stage predicts, solves the KL program and shares by its q.
+    N = 1 is plain uniform sampling at the full rate.  The analysis
+    supplies the grid, the rate and the true bounds, which the oracle
+    predictor and the KL diagnostics read.
     """
     grid, s_r = analysis.grid, analysis.rate
     check_stages(grid, s_r, stages)
@@ -261,63 +265,41 @@ def simulate(
     cumulative = np.zeros(n, dtype=np.int64)
     stage_states = []
     diagnostics = []
-
-    def run_stage(t, counts, rate, budget, alpha, beta, predicted, problem, solution):
-        nonlocal cumulative, sampled
+    for t in range(1, stages + 1):
+        allocated = int(cumulative.sum())
+        rate = stage_rate(t, stages, s_r, allocated, pixels)
+        budget = round_half_up(rate * pixels)
+        predicted = problem = solution = diagnostic = None
+        if t == 1:
+            # uniform: per-block baseline floor(s_r^1 * B^2), topped up by apportionment
+            shares, alpha, beta = np.full(n, budget / n), 1.0, 0.0
+        elif budget == 0:
+            # budget already spent (rounding overshoot): zero-measurement stage
+            shares, alpha, beta = np.zeros(n), 0.0, 1.0
+        else:
+            predicted = np.asarray(predictor.predict(values, cumulative), dtype=np.float64)
+            if true_bounds.sum() > 0:
+                diagnostic = kl_diagnostic(true_bounds, predicted)
+            alpha, beta = mixing_coeffs(t, stages, s_r, allocated, pixels)
+            problem = KlAllocProblem(
+                p=np.maximum(predicted, PREDICTION_FLOOR),
+                r=fixed_ratio(cumulative),
+                alpha=alpha,
+                a=upper_bounds(cumulative, rate, pixels, block_size),
+            )
+            solution = solve(problem)
+            shares = budget * solution.q
+        counts = apportion(shares, budget, dim - cumulative)
         cumulative = cumulative + counts
         top = int(cumulative.max())
         if top > sampled:
             values[:, sampled:top] = sample_rows(matrix, sampled + 1, top, blocks)
             sampled = top
-        stage_states.append(
-            StageState(
-                stage_index=t,
-                stage_rate=rate,
-                budget=budget,
-                alpha=alpha,
-                beta=beta,
-                stage_M=counts,
-                cumulative_M=cumulative,
-                predicted_bounds=predicted,
-                problem=problem,
-                solution=solution,
-            )
-        )
-
-    # stage 1: uniform; per-block baseline floor(s_r^1 * B^2), topped up by
-    # apportionment so the stage budget is hit exactly
-    rate1 = stage_rate(1, stages, s_r, 0, pixels)
-    budget1 = round_half_up(rate1 * pixels)
-    counts1 = apportion(np.full(n, budget1 / n), budget1, dim)
-    run_stage(1, counts1, rate1, budget1, 1.0, 0.0, None, None, None)
-    diagnostics.append(None)
-
-    for t in range(2, stages + 1):
-        allocated = int(cumulative.sum())
-        rate_t = stage_rate(t, stages, s_r, allocated, pixels)
-        budget_t = max(round_half_up(rate_t * pixels), 0)
-        if rate_t <= 0 or budget_t == 0:
-            # budget already spent (rounding overshoot): zero-measurement stage
-            run_stage(t, np.zeros(n, dtype=np.int64), max(rate_t, 0.0), 0, 0.0, 1.0, None, None, None)
-            diagnostics.append(None)
-            continue
-
-        predicted = np.asarray(predictor.predict(values, cumulative), dtype=np.float64)
-        if true_bounds.sum() > 0:
-            diagnostics.append(kl_diagnostic(true_bounds, predicted))
-        else:
-            diagnostics.append(None)
-
-        alpha, beta = mixing_coeffs(t, stages, s_r, allocated, pixels)
-        problem = KlAllocProblem(
-            p=np.maximum(predicted, PREDICTION_FLOOR),
-            r=fixed_ratio(cumulative),
-            alpha=alpha,
-            a=upper_bounds(cumulative, rate_t, pixels, block_size),
-        )
-        solution = solve(problem)
-        counts_t = apportion(budget_t * solution.q, budget_t, dim - cumulative)
-        run_stage(t, counts_t, rate_t, budget_t, alpha, beta, predicted, problem, solution)
+        diagnostics.append(diagnostic)
+        stage_states.append(StageState(
+            stage_index=t, stage_rate=rate, budget=budget, alpha=alpha, beta=beta, stage_M=counts,
+            cumulative_M=cumulative, predicted_bounds=predicted, problem=problem, solution=solution,
+        ))
 
     values[np.arange(dim) >= cumulative[:, None]] = 0.0  # rows computed past a block's count
     return MultiStagePlan(

@@ -95,37 +95,25 @@ def build_matrix(block_size: int, seed: int) -> MeasurementMatrix:
 def sample_rows(
     matrix: MeasurementMatrix, row_start: int, row_end: int, block_vector: np.ndarray
 ) -> np.ndarray:
-    """Inner products of rows row_start..row_end (1-based) with the block.
-
-    A (blocks, dim) batch gives one row of products per block.
-    """
+    """Rows row_start..row_end (1-based) applied to a (blocks, dim) batch, one row per block."""
     if not (1 <= row_start and row_start - 1 <= row_end <= matrix.dim):
         raise ValueError(f"row range {row_start}..{row_end} out of bounds")
-    rows = matrix.rows[row_start - 1 : row_end]
     x = np.asarray(block_vector, dtype=np.float64)
-    if x.ndim == 2 and x.shape[1] == matrix.dim:
-        return x @ rows.T
-    if x.ndim > 1 or x.size != matrix.dim:
-        raise ValueError("block vector length does not match the operator")
-    return rows @ x
+    if x.ndim != 2 or x.shape[1] != matrix.dim:
+        raise ValueError(f"blocks of shape {x.shape} are not a (blocks, {matrix.dim}) batch")
+    return x @ matrix.rows[row_start - 1 : row_end].T
 
 
 def adjoint_reconstruct(
     matrix: MeasurementMatrix, row_start: int, row_end: int, values: np.ndarray
 ) -> np.ndarray:
-    """Adjoint of the used rows: the projection of x onto their span.
-
-    A (blocks, rows) batch of values gives one projection per block.
-    """
+    """Adjoint of the used rows applied to a (blocks, rows) batch: one projection per block."""
     if not (1 <= row_start and row_start - 1 <= row_end <= matrix.dim):
         raise ValueError(f"row range {row_start}..{row_end} out of bounds")
-    rows = matrix.rows[row_start - 1 : row_end]
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 2 and values.shape[1] == rows.shape[0]:
-        return values @ rows
-    if values.ndim > 1 or values.size != rows.shape[0]:
-        raise ValueError("value count does not match the row range")
-    return rows.T @ values
+    if values.ndim != 2 or values.shape[1] != row_end - row_start + 1:
+        raise ValueError(f"values of shape {values.shape} are not a (blocks, rows) batch")
+    return values @ matrix.rows[row_start - 1 : row_end]
 
 
 def sample_plan(grid: BlockGrid, per_block_M, matrix: MeasurementMatrix) -> Measurements:

@@ -167,7 +167,7 @@ def test_c07_transform_and_operator_algebra(matrix32):
     assert gram_err <= 1e-9
     worst_pyth = 0.0
     for _ in range(50):
-        x = rng.standard_normal(1024)
+        x = rng.standard_normal((1, 1024))
         m = int(rng.integers(0, 1025))
         xh = adjoint_reconstruct(matrix32, 1, m, sample_rows(matrix32, 1, m, x))
         worst_pyth = max(
@@ -197,7 +197,7 @@ def test_c08_multistage_bookkeeping(matrix32):
         records = plan.records
         assert np.array_equal(records.counts, plan.final_M)
         for i, count in enumerate(records.counts):
-            reference = sample_rows(matrix32, 1, int(count), blocks[i].reshape(-1))
+            reference = matrix32.rows[:count] @ blocks[i].reshape(-1)
             assert np.abs(records.values[i, :count] - reference).max() <= 1e-12
             assert not records.values[i, count:].any()
     single = run_simulation(image, 32, 0.3, 1, OracleBoundsPredictor(), matrix32)

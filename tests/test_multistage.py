@@ -165,9 +165,9 @@ class TestPredictors:
         textured = np.clip(0.5 + 0.5 * rng.standard_normal(1024), 0, 1)
         m = 100
         y_flat = np.zeros(1024)
-        y_flat[:m] = sample_rows(matrix32, 1, m, flat)
+        y_flat[:m] = sample_rows(matrix32, 1, m, flat[None])[0]
         y_tex = np.zeros(1024)
-        y_tex[:m] = sample_rows(matrix32, 1, m, textured)
+        y_tex[:m] = sample_rows(matrix32, 1, m, textured[None])[0]
         assert predict_bounds_energy(y_tex, m) > predict_bounds_energy(y_flat, m)
 
     def test_batched_energy_matches_per_block(self):
@@ -246,7 +246,7 @@ class TestRunSimulation:
             assert records.counts.max() <= 1024
             blocks = partition(img, 32).blocks
             for i, count in enumerate(records.counts):
-                reference = sample_rows(matrix32, 1, int(count), blocks[i].reshape(-1))
+                reference = matrix32.rows[:count] @ blocks[i].reshape(-1)
                 assert np.abs(records.values[i, :count] - reference).max() <= 1e-12
                 assert not records.values[i, count:].any()
 

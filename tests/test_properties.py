@@ -17,13 +17,7 @@ from hypothesis import strategies as st
 
 from rate_alloc.imaging import Image, assemble, partition
 from rate_alloc.multistage import PREDICTORS, run_simulation
-from rate_alloc.sensing import (
-    adjoint_reconstruct,
-    build_matrix,
-    reconstruct_plan,
-    sample_plan,
-    sample_rows,
-)
+from rate_alloc.sensing import build_matrix, reconstruct_plan, sample_plan
 
 SETTINGS = settings(max_examples=60, deadline=None)
 blocks = st.sampled_from([2, 4, 8])
@@ -64,8 +58,8 @@ def test_batched_reconstruction_matches_per_block_adjoint(seed, h, w, block):
 
     padded = np.zeros((grid.rows * block, grid.cols * block))
     for i, count in enumerate(counts):
-        x = grid.blocks[i].reshape(-1)
-        xh = adjoint_reconstruct(matrix, 1, int(count), sample_rows(matrix, 1, int(count), x))
+        rows = matrix.rows[:count]
+        xh = rows.T @ (rows @ grid.blocks[i].reshape(-1))
         r, c = divmod(i, grid.cols)
         padded[r * block:(r + 1) * block, c * block:(c + 1) * block] = xh.reshape(block, block)
     reference = np.clip(padded[:h, :w], 0.0, 1.0)
@@ -109,6 +103,6 @@ def test_simulation_invariants(seed, h, w, block, rate, stages, predictor):
     assert np.array_equal(records.counts, plan.final_M)
     flat = grid.blocks.reshape(n, dim)
     for i, count in enumerate(records.counts):
-        reference = sample_rows(matrix, 1, int(count), flat[i])
+        reference = matrix.rows[:count] @ flat[i]
         assert np.abs(records.values[i, :count] - reference).max(initial=0.0) <= 1e-12
         assert not records.values[i, count:].any()

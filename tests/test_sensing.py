@@ -53,39 +53,44 @@ class TestBuildMatrix:
 
 class TestSampleRows:
     def test_zero_block(self, matrix8):
-        assert not sample_rows(matrix8, 1, 10, np.zeros(64)).any()
+        assert not sample_rows(matrix8, 1, 10, np.zeros((1, 64))).any()
 
     def test_full_range_isometry(self, matrix8):
         rng = np.random.default_rng(51)
-        x = rng.standard_normal(64)
+        x = rng.standard_normal((1, 64))
         y = sample_rows(matrix8, 1, 64, x)
         assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), abs=1e-9)
 
     def test_empty_range(self, matrix8):
-        assert sample_rows(matrix8, 1, 0, np.zeros(64)).size == 0
-        assert sample_rows(matrix8, 65, 64, np.zeros(64)).size == 0
+        assert sample_rows(matrix8, 1, 0, np.zeros((1, 64))).shape == (1, 0)
+        assert sample_rows(matrix8, 65, 64, np.zeros((1, 64))).shape == (1, 0)
 
     def test_out_of_bounds(self, matrix8):
         with pytest.raises(ValueError):
-            sample_rows(matrix8, 0, 4, np.zeros(64))
+            sample_rows(matrix8, 0, 4, np.zeros((1, 64)))
         with pytest.raises(ValueError):
-            sample_rows(matrix8, 1, 65, np.zeros(64))
+            sample_rows(matrix8, 1, 65, np.zeros((1, 64)))
+
+    def test_single_vector_rejected(self, matrix8):
+        with pytest.raises(ValueError, match="batch"):
+            sample_rows(matrix8, 1, 4, np.zeros(64))
 
 
 class TestAdjoint:
     def test_full_range_exact(self, matrix8):
         rng = np.random.default_rng(52)
-        x = rng.standard_normal(64)
+        x = rng.standard_normal((1, 64))
         y = sample_rows(matrix8, 1, 64, x)
         assert np.abs(adjoint_reconstruct(matrix8, 1, 64, y) - x).max() <= 1e-9
 
     def test_empty_gives_zero(self, matrix8):
-        assert not adjoint_reconstruct(matrix8, 1, 0, np.empty(0)).any()
+        back = adjoint_reconstruct(matrix8, 1, 0, np.empty((1, 0)))
+        assert back.shape == (1, 64) and not back.any()
 
     def test_projection_idempotent(self, matrix8):
         rng = np.random.default_rng(53)
         for _ in range(25):
-            x = rng.standard_normal(64)
+            x = rng.standard_normal((1, 64))
             lo = int(rng.integers(1, 60))
             hi = int(rng.integers(lo, 65))
             once = adjoint_reconstruct(matrix8, lo, hi, sample_rows(matrix8, lo, hi, x))
@@ -95,7 +100,7 @@ class TestAdjoint:
     def test_pythagoras(self, matrix8):
         rng = np.random.default_rng(54)
         for _ in range(25):
-            x = rng.standard_normal(64)
+            x = rng.standard_normal((1, 64))
             m = int(rng.integers(0, 65))
             xh = adjoint_reconstruct(matrix8, 1, m, sample_rows(matrix8, 1, m, x))
             lhs = (x**2).sum()
@@ -104,7 +109,7 @@ class TestAdjoint:
 
     def test_error_monotone_in_rows(self, matrix8):
         rng = np.random.default_rng(55)
-        x = rng.standard_normal(64)
+        x = rng.standard_normal((1, 64))
         errors = []
         for m in range(0, 65, 8):
             xh = adjoint_reconstruct(matrix8, 1, m, sample_rows(matrix8, 1, m, x))
@@ -113,7 +118,11 @@ class TestAdjoint:
 
     def test_length_mismatch(self, matrix8):
         with pytest.raises(ValueError):
-            adjoint_reconstruct(matrix8, 1, 4, np.zeros(3))
+            adjoint_reconstruct(matrix8, 1, 4, np.zeros((1, 3)))
+
+    def test_single_vector_rejected(self, matrix8):
+        with pytest.raises(ValueError, match="batch"):
+            adjoint_reconstruct(matrix8, 1, 4, np.zeros(4))
 
     def test_identities_hundred_pairs_per_size(self, matrix8, matrix32):
         rng = np.random.default_rng(56)
@@ -121,7 +130,7 @@ class TestAdjoint:
         for matrix in operators:
             dim = matrix.dim
             for _ in range(100):
-                x = rng.standard_normal(dim)
+                x = rng.standard_normal((1, dim))
                 lo = int(rng.integers(1, dim + 1))
                 hi = int(rng.integers(lo - 1, dim + 1))
                 y = sample_rows(matrix, lo, hi, x)
@@ -172,7 +181,7 @@ class TestMeasurements:
         assert np.array_equal(rec.counts, counts)
         assert rec.values.shape == (grid.block_count, 64)
         for i, c in enumerate(counts):
-            reference = sample_rows(matrix8, 1, int(c), grid.blocks[i].reshape(-1))
+            reference = matrix8.rows[:c] @ grid.blocks[i].reshape(-1)
             assert np.abs(rec.values[i, :c] - reference).max(initial=0.0) <= 1e-12
             assert not rec.values[i, c:].any()
 
@@ -192,9 +201,10 @@ class TestBatches:
             assert batch.shape == (7, hi - lo + 1)
             back = adjoint_reconstruct(matrix8, lo, hi, batch)
             assert back.shape == (7, 64)
+            rows = matrix8.rows[lo - 1 : hi]
             for i in range(7):
-                assert np.abs(batch[i] - sample_rows(matrix8, lo, hi, x[i])).max(initial=0.0) <= 1e-12
-                assert np.abs(back[i] - adjoint_reconstruct(matrix8, lo, hi, batch[i])).max() <= 1e-12
+                assert np.abs(batch[i] - rows @ x[i]).max(initial=0.0) <= 1e-12
+                assert np.abs(back[i] - rows.T @ batch[i]).max() <= 1e-12
 
     def test_batch_width_checked(self, matrix8):
         with pytest.raises(ValueError):
@@ -238,8 +248,8 @@ class TestReconstructPlan:
         recon = reconstruct_plan(plan, sample_plan(grid, counts, matrix8), matrix8, 27, 19)
         blocks = np.empty_like(grid.blocks)
         for i, c in enumerate(counts):
-            y = sample_rows(matrix8, 1, int(c), grid.blocks[i].reshape(-1))
-            blocks[i] = adjoint_reconstruct(matrix8, 1, int(c), y).reshape(8, 8)
+            rows = matrix8.rows[:c]
+            blocks[i] = (rows.T @ (rows @ grid.blocks[i].reshape(-1))).reshape(8, 8)
         reference = assemble(dataclasses.replace(grid, blocks=np.clip(blocks, 0, 1)), 27, 19)
         assert np.abs(recon.pixels - reference.pixels).max() <= 1e-12
 
