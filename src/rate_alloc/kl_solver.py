@@ -316,7 +316,8 @@ def kkt_residual(problem: KlAllocProblem, q: np.ndarray, mu_star: float) -> floa
 def problem_from_json(text: str) -> KlAllocProblem:
     """Parse {"p": [...], "r": [...], "alpha": x, "a": [...]} (beta derived).
 
-    Any other document raises ValueError, naming the field at fault.
+    alpha must be a JSON number and p, r, a flat arrays of them; any other
+    document raises ValueError, naming the field at fault.
     """
     try:
         doc = json.loads(text)
@@ -328,9 +329,15 @@ def problem_from_json(text: str) -> KlAllocProblem:
     for name in ("p", "r", "alpha", "a"):
         if name not in doc:
             raise ValueError(f"problem JSON missing field '{name}'")
+        value = doc[name]
+        # json gives exactly int or float for a number; bool, str, list and dict are not numbers
+        items = [value] if name == "alpha" else value
+        if not isinstance(items, list) or not all(type(v) in (int, float) for v in items):
+            kind = "a number" if name == "alpha" else "a flat array of numbers"
+            raise ValueError(f"problem JSON field '{name}' must be {kind}")
         try:
-            fields[name] = float(doc[name]) if name == "alpha" else np.asarray(doc[name], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
+            fields[name] = float(value) if name == "alpha" else np.asarray(value, dtype=np.float64)
+        except OverflowError as exc:
             raise ValueError(f"problem JSON field '{name}': {exc}") from None
     return KlAllocProblem(**fields)
 

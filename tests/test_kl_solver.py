@@ -496,3 +496,7 @@ class TestSerialization:
         except (ValueError, InfeasibleProblemError):
             return
         assert isinstance(problem, KlAllocProblem)
+        # only JSON numbers get through: no strings, booleans or nested arrays
+        assert type(document["alpha"]) in (int, float)
+        for name in ("p", "r", "a"):
+            assert all(type(v) in (int, float) for v in document[name])
