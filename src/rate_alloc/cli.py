@@ -62,8 +62,6 @@ def _heatmap_csv(values, rows: int, cols: int, fmt: str) -> str:
 def _load_image(args) -> imaging.Image:
     if args.synthetic is not None:
         return synthetic_image(args.synthetic, args.block_size)
-    if args.image is None:
-        raise ValueError("provide --image or --synthetic")
     return imaging.load_pgm(args.image)
 
 
@@ -259,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, needs_out=True):
-        p.add_argument("--image", help="input PGM (P2 or P5)")
-        p.add_argument("--synthetic", choices=KINDS, help="use a built-in test image")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--image", help="input PGM (P2 or P5)")
+        source.add_argument("--synthetic", choices=KINDS, help="use a built-in test image")
         p.add_argument("--block-size", type=int, default=32)
         p.add_argument("--rate", type=float, required=True, help="overall sampling rate in (0, 1]")
         p.add_argument("--curve", help="curve parameters a,b,sr1,ps1")
