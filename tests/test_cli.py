@@ -231,8 +231,15 @@ class TestSolve:
             (json.dumps({**HAND_PROBLEM, "alpha": [0.5]}), "'alpha'"),
             (json.dumps({**HAND_PROBLEM, "p": {"x": 1}}), "'p'"),
             ("[" * 100_000 + "]" * 100_000, "nests"),
+            (json.dumps({**HAND_PROBLEM, "alpha": "0.5"}), "'alpha'"),
+            (json.dumps({**HAND_PROBLEM, "alpha": True}), "'alpha'"),
+            (json.dumps({**HAND_PROBLEM, "p": ["0.5", "0.3", "0.2"]}), "'p'"),
+            (json.dumps({**HAND_PROBLEM, "p": [[0.6], [0.3], [0.1]]}), "'p'"),
+            (json.dumps({**HAND_PROBLEM, "r": [True, 1, 1]}), "'r'"),
+            (json.dumps({**HAND_PROBLEM, "a": 1.0}), "'a'"),
         ],
-        ids=["list", "string", "alpha-null", "alpha-list", "p-object", "deep"],
+        ids=["list", "string", "alpha-null", "alpha-list", "p-object", "deep",
+             "alpha-string", "alpha-bool", "p-strings", "p-nested", "r-bool", "a-scalar"],
     )
     def test_wrong_shape_exits_two(self, tmp_path, capsys, text, field):
         path = tmp_path / "shape.json"
@@ -263,6 +270,24 @@ class TestCompare:
         report = json.loads((out / "compare.json").read_text())
         values = [row["psnr_db"] for row in report]
         assert max(values) - min(values) <= 0.1
+
+
+class TestImageSource:
+    @pytest.mark.parametrize("command", ["analyze", "allocate", "simulate", "compare"])
+    def test_both_sources_exit_two(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(command, "--synthetic", "flat", "--image", tmp_path / "absent.pgm",
+                "--rate", 0.1, "--out", tmp_path / "out")
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "allocate", "simulate", "compare"])
+    def test_no_source_exits_two(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(command, "--rate", 0.1, "--out", tmp_path / "out")
+        assert exit_info.value.code == 2
+        assert "one of the arguments --image --synthetic is required" in capsys.readouterr().err
 
 
 def replace_everywhere(monkeypatch, module, name, replacement):
