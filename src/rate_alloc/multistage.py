@@ -261,7 +261,6 @@ def simulate(
     # is row j+1 applied to all blocks; a stage computes only columns not yet reached
     blocks = grid.blocks.reshape(n, dim)
     values = np.zeros((n, dim))
-    sampled = 0
     cumulative = np.zeros(n, dtype=np.int64)
     stage_states = []
     diagnostics = []
@@ -289,17 +288,27 @@ def simulate(
             )
             solution = solve(problem)
             shares = budget * solution.q
+        reached = int(cumulative.max())
         counts = apportion(shares, budget, dim - cumulative)
         cumulative = cumulative + counts
         top = int(cumulative.max())
-        if top > sampled:
-            values[:, sampled:top] = sample_rows(matrix, sampled + 1, top, blocks)
-            sampled = top
+        if top > reached:
+            values[:, reached:top] = sample_rows(matrix, reached + 1, top, blocks)
         diagnostics.append(diagnostic)
-        stage_states.append(StageState(
-            stage_index=t, stage_rate=rate, budget=budget, alpha=alpha, beta=beta, stage_M=counts,
-            cumulative_M=cumulative, predicted_bounds=predicted, problem=problem, solution=solution,
-        ))
+        stage_states.append(
+            StageState(
+                stage_index=t,
+                stage_rate=rate,
+                budget=budget,
+                alpha=alpha,
+                beta=beta,
+                stage_M=counts,
+                cumulative_M=cumulative,
+                predicted_bounds=predicted,
+                problem=problem,
+                solution=solution,
+            )
+        )
 
     values[np.arange(dim) >= cumulative[:, None]] = 0.0  # rows computed past a block's count
     return MultiStagePlan(
