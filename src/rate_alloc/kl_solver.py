@@ -330,7 +330,7 @@ def problem_from_json(text: str) -> KlAllocProblem:
         if name not in doc:
             raise ValueError(f"problem JSON missing field '{name}'")
         value = doc[name]
-        # json gives exactly int or float for a number; bool, str, list and dict are not numbers
+        # type(), not isinstance(): JSON true and false load as bool, a subclass of int
         items = [value] if name == "alpha" else value
         if not isinstance(items, list) or not all(type(v) in (int, float) for v in items):
             kind = "a number" if name == "alpha" else "a flat array of numbers"

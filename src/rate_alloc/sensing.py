@@ -107,7 +107,10 @@ def sample_rows(
 def adjoint_reconstruct(
     matrix: MeasurementMatrix, row_start: int, row_end: int, values: np.ndarray
 ) -> np.ndarray:
-    """Adjoint of the used rows applied to a (blocks, rows) batch: one projection per block."""
+    """Adjoint of the used rows: the projection of x onto their span.
+
+    `values` is a (blocks, rows) batch; the result holds one projection per block.
+    """
     if not (1 <= row_start and row_start - 1 <= row_end <= matrix.dim):
         raise ValueError(f"row range {row_start}..{row_end} out of bounds")
     values = np.asarray(values, dtype=np.float64)
