@@ -71,10 +71,6 @@ class TestSampleRows:
         with pytest.raises(ValueError):
             sample_rows(matrix8, 1, 65, np.zeros((1, 64)))
 
-    def test_single_vector_rejected(self, matrix8):
-        with pytest.raises(ValueError, match="batch"):
-            sample_rows(matrix8, 1, 4, np.zeros(64))
-
 
 class TestAdjoint:
     def test_full_range_exact(self, matrix8):
@@ -119,10 +115,6 @@ class TestAdjoint:
     def test_length_mismatch(self, matrix8):
         with pytest.raises(ValueError):
             adjoint_reconstruct(matrix8, 1, 4, np.zeros((1, 3)))
-
-    def test_single_vector_rejected(self, matrix8):
-        with pytest.raises(ValueError, match="batch"):
-            adjoint_reconstruct(matrix8, 1, 4, np.zeros(4))
 
     def test_identities_hundred_pairs_per_size(self, matrix8, matrix32):
         rng = np.random.default_rng(56)
@@ -213,6 +205,11 @@ class TestBatches:
             sample_rows(matrix8, 1, 4, np.zeros((8, 8)))
         with pytest.raises(ValueError):
             adjoint_reconstruct(matrix8, 1, 4, np.zeros((3, 5)))
+        # a single vector is not a batch: one block is a one-row batch
+        with pytest.raises(ValueError, match="batch"):
+            sample_rows(matrix8, 1, 4, np.zeros(64))
+        with pytest.raises(ValueError, match="batch"):
+            adjoint_reconstruct(matrix8, 1, 4, np.zeros(4))
 
 
 class TestReconstructPlan:
