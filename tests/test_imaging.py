@@ -50,6 +50,12 @@ class TestImageType:
         with pytest.raises(ValueError):
             Image(np.array([[-0.1, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        for pixels in ([[bad]], [[0.5, bad]], [[bad, 0.0], [1.0, 0.5]]):
+            with pytest.raises(ValueError, match="finite"):
+                Image(np.array(pixels))
+
     def test_immutable(self):
         img = Image(np.zeros((2, 3)))
         with pytest.raises(ValueError):
