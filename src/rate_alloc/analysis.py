@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import BlockGrid, dct2_blocks
+from .imaging import BlockGrid, _chunks, dct2_blocks
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,11 @@ def measurement_bounds(k: int, block_len: int) -> float:
 def sparsity_profile(coeff_blocks, threshold: float) -> SparsityProfile:
     """Per-block sparsity counts under a threshold, plus the overall ratio."""
     coeffs = np.asarray(coeff_blocks, dtype=np.float64)
-    per_block = (np.abs(coeffs) > threshold).sum(axis=(1, 2)).astype(np.int64)
+    flat = coeffs.reshape(len(coeffs), math.prod(coeffs.shape[1:]))
+    per_block = np.empty(len(flat), dtype=np.int64)
+    # chunk by chunk, so the magnitudes and their mask stay chunk-sized
+    for part in _chunks(len(flat), flat.shape[1] * flat.itemsize):
+        per_block[part] = np.count_nonzero(np.abs(flat[part]) > threshold, axis=1)
     return SparsityProfile(
         threshold=threshold,
         overall_ratio=float(per_block.sum() / coeffs.size),

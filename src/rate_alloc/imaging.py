@@ -39,6 +39,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+# Bytes per numpy pass over a large array: chunk-sized temporaries stay in
+# cache and are reused, where image-sized ones must be faulted in page by page.
+_CHUNK = 1 << 18
+
+
+def _chunks(count: int, item_bytes: int):
+    """Slices covering range(count), each about _CHUNK bytes of items (at least one)."""
+    step = max(1, _CHUNK // item_bytes)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 @dataclass(frozen=True)
 class Image:
     """A grayscale image: 2-D row-major intensities in [0, 1]."""
@@ -49,7 +60,8 @@ class Image:
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 2 or px.size == 0:
             raise ValueError("image pixels must be a non-empty 2-D array")
-        if not np.isfinite(px).all() or px.min() < 0.0 or px.max() > 1.0:
+        # NaN fails both comparisons and an infinity one of them
+        if not (px.min() >= 0.0 and px.max() <= 1.0):
             raise ValueError("image intensities must be finite and in [0, 1]")
         object.__setattr__(self, "pixels", _frozen(px))
 
@@ -108,7 +120,10 @@ def partition(image: Image, block_size: int) -> BlockGrid:
     cols = -(-w // block_size)
     pad_bottom = rows * block_size - h
     pad_right = cols * block_size - w
-    padded = np.pad(image.pixels, ((0, pad_bottom), (0, pad_right)))
+    padded = image.pixels
+    if pad_bottom or pad_right:
+        padded = np.pad(padded, ((0, pad_bottom), (0, pad_right)))
+    # the last reshape copies the swapped view: the one block-order copy
     blocks = (
         padded.reshape(rows, block_size, cols, block_size)
         .swapaxes(1, 2)
@@ -124,12 +139,11 @@ def assemble(grid: BlockGrid, original_h: int, original_w: int) -> Image:
         raise ValueError("original height inconsistent with grid")
     if not (0 < original_w <= grid.padded_width and grid.padded_width - original_w < b):
         raise ValueError("original width inconsistent with grid")
-    padded = (
-        grid.blocks.reshape(grid.rows, grid.cols, b, b)
-        .swapaxes(1, 2)
-        .reshape(grid.padded_height, grid.padded_width)
-    )
-    return Image(np.clip(padded[:original_h, :original_w], 0.0, 1.0))
+    # one clamped copy from block order straight into row order
+    padded = np.empty((grid.rows, b, grid.cols, b))
+    np.clip(grid.blocks.reshape(grid.rows, grid.cols, b, b).swapaxes(1, 2), 0.0, 1.0, out=padded)
+    padded = padded.reshape(grid.padded_height, grid.padded_width)
+    return Image(padded[:original_h, :original_w])
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +163,15 @@ def dct_matrix(size: int) -> np.ndarray:
 def dct2_blocks(blocks: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DCT-II, M @ X @ M.T with M = dct_matrix(B), of each block X of (n, B, B)."""
     blocks = np.asarray(blocks, dtype=np.float64)
-    m = dct_matrix(blocks.shape[-1])
-    return m @ blocks @ m.T
+    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+        raise ValueError(f"blocks of shape {blocks.shape} are not an (n, B, B) stack")
+    b = blocks.shape[-1]
+    m = dct_matrix(b)
+    out = np.empty(blocks.shape)
+    # chunk by chunk, the same per-block products as one m @ blocks @ m.T
+    for part in _chunks(len(blocks), b * b * blocks.itemsize):
+        np.matmul(m @ blocks[part], m.T, out=out[part])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +219,9 @@ def _ascii_samples(data: bytes, pos: int, count: int, maxval: int):
         yield min(value, maxval + 1)
 
 
-# P2 payload bytes per numpy pass (more than 5). Temporaries take ~20x this; at
-# 256 KiB a 4 MB file decodes faster than at 1 MiB, with under half the peak memory.
-_CHUNK = 1 << 18
+# P2 decoding reads _CHUNK payload bytes per pass (it must exceed 5); its
+# temporaries take ~20x that.  At 256 KiB a 4 MB file decodes faster than at
+# 1 MiB, with under half the peak memory.
 # 0: a byte \s matches (9-13 and 32), 1: a digit, 2: anything else
 _BYTE_KIND = np.full(256, 2, np.int8)
 _BYTE_KIND[[9, 10, 11, 12, 13, 32]] = 0

@@ -310,7 +310,8 @@ def simulate(
             )
         )
 
-    values[np.arange(dim) >= cumulative[:, None]] = 0.0  # rows computed past a block's count
+    # zero the rows computed past a block's count; columns from `top` on were never computed
+    values[:, :top][np.arange(top) >= cumulative[:, None]] = 0.0
     return MultiStagePlan(
         block_size=block_size,
         grid_rows=grid.rows,

@@ -152,7 +152,7 @@ def reconstruct_plan(plan, measurements: Measurements, matrix: MeasurementMatrix
         cols=plan.grid_cols,
         pad_bottom=plan.grid_rows * b - original_h,
         pad_right=plan.grid_cols * b - original_w,
-        blocks=np.clip(blocks, 0.0, 1.0, out=blocks).reshape(n, b, b),
+        blocks=blocks.reshape(n, b, b),
     )
     return assemble(grid, original_h, original_w)
 
