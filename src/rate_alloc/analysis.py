@@ -151,11 +151,10 @@ def measurement_bounds(k: int, block_len: int) -> float:
 def sparsity_profile(coeff_blocks, threshold: float) -> SparsityProfile:
     """Per-block sparsity counts under a threshold, plus the overall ratio."""
     coeffs = np.asarray(coeff_blocks, dtype=np.float64)
-    flat = coeffs.reshape(len(coeffs), math.prod(coeffs.shape[1:]))
-    per_block = np.empty(len(flat), dtype=np.int64)
+    per_block = np.empty(len(coeffs), dtype=np.int64)
     # chunk by chunk, so the magnitudes and their mask stay chunk-sized
-    for part in _chunks(len(flat), flat.shape[1] * flat.itemsize):
-        per_block[part] = np.count_nonzero(np.abs(flat[part]) > threshold, axis=1)
+    for part in _chunks(len(coeffs), math.prod(coeffs.shape[1:]) * coeffs.itemsize):
+        per_block[part] = np.count_nonzero(np.abs(coeffs[part]) > threshold, axis=(1, 2))
     return SparsityProfile(
         threshold=threshold,
         overall_ratio=float(per_block.sum() / coeffs.size),

@@ -219,9 +219,8 @@ def _ascii_samples(data: bytes, pos: int, count: int, maxval: int):
         yield min(value, maxval + 1)
 
 
-# P2 decoding reads _CHUNK payload bytes per pass (it must exceed 5); its
-# temporaries take ~20x that.  At 256 KiB a 4 MB file decodes faster than at
-# 1 MiB, with under half the peak memory.
+# P2 decoding reads _CHUNK payload bytes per pass (more than 5); temporaries take ~20x
+# that. At 256 KiB a 4 MB file decodes faster than at 1 MiB, with under half the peak memory.
 # 0: a byte \s matches (9-13 and 32), 1: a digit, 2: anything else
 _BYTE_KIND = np.full(256, 2, np.int8)
 _BYTE_KIND[[9, 10, 11, 12, 13, 32]] = 0

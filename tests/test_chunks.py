@@ -67,11 +67,6 @@ class TestChunkEdges:
         assert np.array_equal(got.sparsity.per_block_k, want.sparsity.per_block_k)
         assert np.array_equal(got.bounds.per_block_m, want.bounds.per_block_m)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4, 4), (4,)])
-    def test_dct_needs_a_stack_of_blocks(self, shape):
-        with pytest.raises(ValueError, match="stack"):
-            dct2_blocks(np.zeros(shape))
-
 
 SIDE, BLOCK = 512, 16
 # allowance for ufunc buffers and small arrays, in bytes

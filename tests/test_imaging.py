@@ -440,3 +440,8 @@ class TestDct:
         for shape in ((1, 2, 3), (1, 3, 2)):
             with pytest.raises(ValueError):
                 dct2_blocks(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4, 4), (4,)])
+    def test_only_a_stack_of_blocks(self, shape):
+        with pytest.raises(ValueError, match="stack"):
+            dct2_blocks(np.zeros(shape))
