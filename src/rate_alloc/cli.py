@@ -132,14 +132,22 @@ def cmd_allocate(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def _sense(args):
+    """Load and analyze the image, run the multi-stage plan once, reconstruct and score it.
+
+    Returns (image, analysis, operator, plan, reconstruction, PSNR in dB).
+    """
     image = _load_image(args)
     result = _analyze(args, image, args.stages)
     matrix = sensing.build_matrix(args.block_size, args.seed)
     predictor = multistage.PREDICTORS[args.predictor]()
     plan = multistage.simulate(result, args.stages, predictor, matrix)
     recon = sensing.reconstruct_plan(plan, plan.records, matrix, image.height, image.width)
-    quality = sensing.psnr(image, recon)
+    return image, result, matrix, plan, recon, sensing.psnr(image, recon)
+
+
+def cmd_simulate(args) -> int:
+    _, _, _, plan, recon, quality = _sense(args)
 
     out = Path(args.out)
     stage_docs = []
@@ -198,42 +206,29 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _allocation_kl(true_bounds: np.ndarray, counts: np.ndarray) -> float:
-    return multistage.kl_diagnostic(true_bounds, np.asarray(counts, dtype=np.float64))[1]
-
-
 def cmd_compare(args) -> int:
-    image = _load_image(args)
-    result = _analyze(args, image, args.stages)
+    image, result, matrix, multi, recon, multi_quality = _sense(args)
+    del recon  # scored; holding it would add an image to the peak of the rows below
     grid = result.grid
-    matrix = sensing.build_matrix(args.block_size, args.seed)
-
     uniform = allocation.plan_from_bounds(grid, None, args.rate, None)
     adaptive = allocation.adaptive_plan(result)
-    multi = multistage.simulate(result, args.stages, multistage.PREDICTORS[args.predictor](), matrix)
     true_bounds = result.bounds.per_block_m
 
-    def evaluate(records):
-        recon = sensing.reconstruct_plan(adaptive, records, matrix, image.height, image.width)
+    def sample(plan):
+        measurements = sensing.sample_plan(grid, plan.per_block_M, matrix)
+        recon = sensing.reconstruct_plan(plan, measurements, matrix, image.height, image.width)
         return sensing.psnr(image, recon)
 
-    def sample(counts):
-        return evaluate(sensing.sample_plan(grid, counts, matrix))
-
     rows = [
-        ("uniform", uniform.total_budget, sample(uniform.per_block_M), uniform.per_block_M),
-        ("single-stage", adaptive.total_budget, sample(adaptive.per_block_M), adaptive.per_block_M),
-        (
-            f"multi-{args.stages}",
-            multi.total_measurements,
-            evaluate(multi.records),
-            multi.final_M,
-        ),
+        ("uniform", uniform.total_budget, sample(uniform), uniform.per_block_M),
+        ("single-stage", adaptive.total_budget, sample(adaptive), adaptive.per_block_M),
+        (f"multi-{args.stages}", multi.total_measurements, multi_quality, multi.final_M),
     ]
     print(f"{'allocation':<14}{'budget':>8}  {'psnr_db':>10}  {'kl_to_bounds':>12}")
     report = []
     for name, budget, quality, counts in rows:
-        kl = _allocation_kl(true_bounds, counts) if true_bounds.sum() > 0 else 0.0
+        kl = (multistage.kl_diagnostic(true_bounds, counts.astype(np.float64))[1]
+              if true_bounds.sum() > 0 else 0.0)
         quality_text = "identical" if math.isinf(quality) else f"{quality:.4f}"
         print(f"{name:<14}{budget:>8}  {quality_text:>10}  {kl:>12.6f}")
         report.append(
@@ -274,11 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_alloc)
     p_alloc.set_defaults(func=cmd_allocate)
 
+    def add_sensing(p):
+        p.add_argument("--stages", type=int, default=2)
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--predictor", choices=sorted(multistage.PREDICTORS), default="oracle")
+
     p_sim = sub.add_parser("simulate", help="multi-stage sampling simulation with reconstruction")
     add_common(p_sim)
-    p_sim.add_argument("--stages", type=int, default=2)
-    p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--predictor", choices=sorted(multistage.PREDICTORS), default="oracle")
+    add_sensing(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_solve = sub.add_parser("solve", help="solve an allocation program from JSON")
@@ -288,9 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="uniform vs adaptive allocations on one image")
     add_common(p_cmp, needs_out=False)
-    p_cmp.add_argument("--stages", type=int, default=2)
-    p_cmp.add_argument("--seed", type=int, default=1)
-    p_cmp.add_argument("--predictor", choices=sorted(multistage.PREDICTORS), default="oracle")
+    add_sensing(p_cmp)
     p_cmp.add_argument("--out", help="optional report directory")
     p_cmp.set_defaults(func=cmd_compare)
 

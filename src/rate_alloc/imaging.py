@@ -132,18 +132,14 @@ def partition(image: Image, block_size: int) -> BlockGrid:
     return BlockGrid(block_size, rows, cols, pad_bottom, pad_right, blocks)
 
 
-def assemble(grid: BlockGrid, original_h: int, original_w: int) -> Image:
-    """Inverse of :func:`partition`: stitch blocks, crop padding, clamp to [0, 1]."""
+def assemble(grid: BlockGrid) -> Image:
+    """Inverse of :func:`partition`: stitch blocks, crop the grid's padding, clamp to [0, 1]."""
     b = grid.block_size
-    if not (0 < original_h <= grid.padded_height and grid.padded_height - original_h < b):
-        raise ValueError("original height inconsistent with grid")
-    if not (0 < original_w <= grid.padded_width and grid.padded_width - original_w < b):
-        raise ValueError("original width inconsistent with grid")
     # one clamped copy from block order straight into row order
     padded = np.empty((grid.rows, b, grid.cols, b))
     np.clip(grid.blocks.reshape(grid.rows, grid.cols, b, b).swapaxes(1, 2), 0.0, 1.0, out=padded)
     padded = padded.reshape(grid.padded_height, grid.padded_width)
-    return Image(padded[:original_h, :original_w])
+    return Image(padded[: grid.padded_height - grid.pad_bottom, : grid.padded_width - grid.pad_right])
 
 
 # ---------------------------------------------------------------------------

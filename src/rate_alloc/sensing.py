@@ -126,8 +126,8 @@ def sample_plan(grid: BlockGrid, per_block_M, matrix: MeasurementMatrix) -> Meas
         raise ValueError("one count per block required")
     values = np.zeros((grid.block_count, matrix.dim))
     top = int(counts.max(initial=0))
-    sampled = sample_rows(matrix, 1, top, grid.blocks.reshape(grid.block_count, -1))
-    values[:, :top] = np.where(np.arange(top) < counts[:, None], sampled, 0.0)
+    values[:, :top] = sample_rows(matrix, 1, top, grid.blocks.reshape(grid.block_count, -1))
+    values[:, :top][np.arange(top) >= counts[:, None]] = 0.0
     return Measurements(values, counts)
 
 
@@ -138,7 +138,8 @@ def reconstruct_plan(plan, measurements: Measurements, matrix: MeasurementMatrix
     `plan` only needs block_size / grid_rows / grid_cols attributes, so
     both single-stage and multi-stage plans work.  Values are zero beyond
     each block's count, so one product over the used row prefix is the
-    per-block adjoint of every block at once.
+    per-block adjoint of every block at once.  A height or width the
+    plan's grid could not have been cut from raises ValueError.
     """
     b = plan.block_size
     n = plan.grid_rows * plan.grid_cols
@@ -154,7 +155,7 @@ def reconstruct_plan(plan, measurements: Measurements, matrix: MeasurementMatrix
         pad_right=plan.grid_cols * b - original_w,
         blocks=blocks.reshape(n, b, b),
     )
-    return assemble(grid, original_h, original_w)
+    return assemble(grid)
 
 
 def psnr(reference: Image, estimate: Image) -> float:

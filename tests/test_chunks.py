@@ -123,8 +123,15 @@ class TestPeakMemory:
 
     def test_assemble_copies_once(self, scene):
         image, grid = scene[:2]
-        peak = peak_bytes(assemble, grid, SIDE, SIDE)
+        peak = peak_bytes(assemble, grid)
         assert peak <= image.pixels.nbytes + SLACK
+
+    def test_sample_plan_output_plus_product_and_mask(self, scene):
+        image, grid, _, matrix, plan, _ = scene
+        peak = peak_bytes(sample_plan, grid, plan.per_block_M, matrix)
+        # the (blocks, top) product and its bool mask, on top of the (blocks, B^2) output
+        product = grid.block_count * int(plan.per_block_M.max()) * 8
+        assert peak <= image.pixels.nbytes + product + product // 8 + SLACK
 
     def test_reconstruct_holds_blocks_and_image(self, scene):
         image, _, _, matrix, plan, measurements = scene

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -270,6 +271,29 @@ class TestCompare:
         report = json.loads((out / "compare.json").read_text())
         values = [row["psnr_db"] for row in report]
         assert max(values) - min(values) <= 0.1
+
+
+class TestSharedSensing:
+    def test_compare_multi_row_is_the_simulation(self, tmp_path):
+        args = ["--synthetic", "checkerboard", "--rate", 0.1, "--stages", 3, "--seed", 4,
+                "--predictor", "energy", "--out"]
+        assert run("simulate", *args, tmp_path / "sim") == 0
+        assert run("compare", *args, tmp_path / "cmp") == 0
+        simulation = json.loads((tmp_path / "sim" / "simulation.json").read_text())
+        multi = json.loads((tmp_path / "cmp" / "compare.json").read_text())[-1]
+        assert multi["allocation"] == "multi-3"
+        assert multi["budget"] == simulation["total_measurements"]
+        assert multi["psnr_db"] == simulation["psnr_db"]
+
+    @pytest.mark.parametrize("flag", ["--stages", "--seed", "--predictor"])
+    def test_flag_declared_alike(self, flag):
+        commands = next(action for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        simulate, compare = (
+            next(action for action in commands[name]._actions if flag in action.option_strings)
+            for name in ("simulate", "compare"))
+        assert (simulate.default, simulate.choices, simulate.type) == (
+            compare.default, compare.choices, compare.type)
 
 
 class TestImageSource:

@@ -365,11 +365,11 @@ class TestPartition:
                 for w in range(1, 2 * b + 2):
                     img = Image(rng.random((h, w)))
                     assert np.array_equal(
-                        assemble(partition(img, b), h, w).pixels, img.pixels
+                        assemble(partition(img, b)).pixels, img.pixels
                     )
         for h, w, b in [(99, 100, 16), (100, 97, 7), (64, 64, 16)]:
             img = Image(rng.random((h, w)))
-            assert np.array_equal(assemble(partition(img, b), h, w).pixels, img.pixels)
+            assert np.array_equal(assemble(partition(img, b)).pixels, img.pixels)
 
     def test_small_block_size_rejected(self):
         with pytest.raises(ValueError):
@@ -378,12 +378,7 @@ class TestPartition:
     def test_assemble_clamps(self):
         blocks = np.full((1, 2, 2), 1.2)
         grid = BlockGrid(2, 1, 1, 0, 0, blocks)
-        assert assemble(grid, 2, 2).pixels.max() == 1.0
-
-    def test_assemble_dimension_mismatch(self):
-        grid = partition(Image(np.zeros((8, 8))), 4)
-        with pytest.raises(ValueError):
-            assemble(grid, 3, 8)
+        assert assemble(grid).pixels.max() == 1.0
 
 
 class TestDct:

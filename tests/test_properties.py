@@ -42,7 +42,7 @@ def round_half_up(x: float) -> int:
 @given(seed=seeds, h=sides, w=sides, block=blocks)
 def test_partition_assemble_round_trip(seed, h, w, block):
     image = random_image(seed, h, w)
-    back = assemble(partition(image, block), h, w)
+    back = assemble(partition(image, block))
     assert np.array_equal(back.pixels, image.pixels)
 
 

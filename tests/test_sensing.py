@@ -236,6 +236,15 @@ class TestReconstructPlan:
         with pytest.raises(ValueError):
             reconstruct_plan(plan, short, matrix32, 96, 96)
 
+    def test_size_inconsistent_with_plan_rejected(self, matrix8):
+        img = Image(np.zeros((16, 16)))
+        plan = uniform_plan(img, 8, 0.5)
+        records = sample_plan(partition(img, 8), plan.per_block_M, matrix8)
+        assert reconstruct_plan(plan, records, matrix8, 9, 16).height == 9
+        for h, w in [(3, 16), (16, 3), (17, 16), (16, 8), (0, 16)]:
+            with pytest.raises(ValueError):
+                reconstruct_plan(plan, records, matrix8, h, w)
+
     def test_matches_per_block_adjoint(self, matrix8):
         rng = np.random.default_rng(59)
         img = Image(rng.random((27, 19)))
@@ -247,7 +256,7 @@ class TestReconstructPlan:
         for i, c in enumerate(counts):
             rows = matrix8.rows[:c]
             blocks[i] = (rows.T @ (rows @ grid.blocks[i].reshape(-1))).reshape(8, 8)
-        reference = assemble(dataclasses.replace(grid, blocks=np.clip(blocks, 0, 1)), 27, 19)
+        reference = assemble(dataclasses.replace(grid, blocks=np.clip(blocks, 0, 1)))
         assert np.abs(recon.pixels - reference.pixels).max() <= 1e-12
 
 
