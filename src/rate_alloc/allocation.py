@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import Analysis, BoundsProfile, CurveParams, DEFAULT_CURVE, analyze
+from .analysis import Analysis, CurveParams, DEFAULT_CURVE, analyze
 from .imaging import BlockGrid, Image, partition
 
 
@@ -57,11 +57,13 @@ class AllocationPlan:
         return self.total_budget / (self.target_rate * self.padded_pixel_count)
 
 
-def proportional_shares(bounds: BoundsProfile, budget: int) -> np.ndarray:
+def proportional_shares(bounds, budget: int) -> np.ndarray:
     """Real shares of the budget proportional to the bounds (uniform if all zero)."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    m = bounds.per_block_m
+    m = np.asarray(bounds, dtype=np.float64)
+    if m.ndim != 1 or (m < 0).any():
+        raise ValueError("bounds must be a 1-D nonnegative vector")
     total = m.sum()
     if total > 0:
         return budget * m / total
@@ -113,7 +115,7 @@ def apportion(shares, budget: int, cap) -> np.ndarray:
 
 def plan_from_bounds(
     grid: BlockGrid,
-    bounds: Optional[BoundsProfile],
+    bounds: Optional[np.ndarray],
     s_r: float,
     threshold: Optional[float],
 ) -> AllocationPlan:

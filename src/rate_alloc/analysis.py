@@ -60,24 +60,6 @@ class SparsityProfile:
         object.__setattr__(self, "per_block_k", k)
 
 
-@dataclass(frozen=True)
-class BoundsProfile:
-    """Per-block measurement bounds m_i >= 0 (m_i = 0 iff k_i = 0)."""
-
-    per_block_m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.per_block_m, dtype=np.float64)
-        if m.ndim != 1 or (m < 0).any():
-            raise ValueError("bounds must be a 1-D nonnegative vector")
-        m.setflags(write=False)
-        object.__setattr__(self, "per_block_m", m)
-
-    @property
-    def total(self) -> float:
-        return float(self.per_block_m.sum())
-
-
 def target_sparsity_ratio(s_r: float, params: CurveParams = DEFAULT_CURVE) -> float:
     """Target overall sparsity ratio for a given overall sampling rate."""
     if s_r < params.s_r1:
@@ -162,11 +144,13 @@ def sparsity_profile(coeff_blocks, threshold: float) -> SparsityProfile:
     )
 
 
-def _bounds_from_counts(per_block_k: np.ndarray, block_len: int) -> BoundsProfile:
-    """Per-block bounds read from a table of :func:`measurement_bounds` over k."""
+def _bounds_from_counts(per_block_k: np.ndarray, block_len: int) -> np.ndarray:
+    """Read-only per-block bounds, 0 iff k = 0, from a :func:`measurement_bounds` table over k."""
     top = int(per_block_k.max(initial=0))
     table = np.array([measurement_bounds(k, block_len) for k in range(top + 1)])
-    return BoundsProfile(per_block_m=table[per_block_k])
+    bounds = table[per_block_k]
+    bounds.setflags(write=False)
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -181,7 +165,7 @@ class Analysis:
     rate: float
     target_ratio: float
     sparsity: SparsityProfile
-    bounds: BoundsProfile
+    bounds: np.ndarray  # read-only per-block measurement bounds
 
     @property
     def threshold(self) -> float:

@@ -89,21 +89,22 @@ def _analyze(args, image: imaging.Image, stages: int) -> analysis.Analysis:
 def cmd_analyze(args) -> int:
     result = _analyze(args, _load_image(args), 1)
     grid, profile, bounds = result.grid, result.sparsity, result.bounds
+    total_bounds = float(bounds.sum())
 
     out = Path(args.out)
     _write_atomic(out / "sparsity.csv", _heatmap_csv(profile.per_block_k, grid.rows, grid.cols, "%d"))
-    _write_atomic(out / "bounds.csv", _heatmap_csv(bounds.per_block_m, grid.rows, grid.cols, "%.6g"))
+    _write_atomic(out / "bounds.csv", _heatmap_csv(bounds, grid.rows, grid.cols, "%.6g"))
     summary = {
         "threshold": result.threshold,
         "target_sparsity_ratio": result.target_ratio,
         "overall_sparsity_ratio": profile.overall_ratio,
-        "total_bounds": bounds.total,
+        "total_bounds": total_bounds,
         "grid": [grid.rows, grid.cols],
         "block_size": args.block_size,
         "curve": dataclasses.asdict(_curve(args)),
     }
     _write_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
-    print(f"threshold {result.threshold:.10g}  sparsity ratio {profile.overall_ratio:.10g}  total bounds {bounds.total:.10g}")
+    print(f"threshold {result.threshold:.10g}  sparsity ratio {profile.overall_ratio:.10g}  total bounds {total_bounds:.10g}")
     return EXIT_OK
 
 
@@ -151,7 +152,7 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     stage_docs = []
-    for state, diag in zip(plan.stages, plan.diagnostics):
+    for state in plan.stages:
         stage_docs.append(
             {
                 "stage": state.stage_index,
@@ -162,8 +163,8 @@ def cmd_simulate(args) -> int:
                 "stage_m": state.stage_M.tolist(),
                 "cumulative_m": state.cumulative_M.tolist(),
                 "diagnostics": None
-                if diag is None
-                else {"cross_entropy": diag[0], "kl": diag[1]},
+                if state.diagnostic is None
+                else {"cross_entropy": state.diagnostic[0], "kl": state.diagnostic[1]},
             }
         )
         _write_atomic(
@@ -212,7 +213,7 @@ def cmd_compare(args) -> int:
     grid = result.grid
     uniform = allocation.plan_from_bounds(grid, None, args.rate, None)
     adaptive = allocation.adaptive_plan(result)
-    true_bounds = result.bounds.per_block_m
+    true_bounds = result.bounds
 
     def sample(plan):
         measurements = sensing.sample_plan(grid, plan.per_block_M, matrix)

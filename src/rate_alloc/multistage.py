@@ -64,45 +64,6 @@ def check_stages(grid: BlockGrid, s_r: float, stages: int) -> None:
         )
 
 
-def mixing_coeffs(t: int, stages: int, s_r: float, allocated_so_far: int, pixels: int):
-    """Adjustable/fixed fractions (alpha, beta) of the cumulative stage-t budget.
-
-    alpha = 0 means the budget is already exhausted and the stage should
-    be skipped with zero measurements.
-    """
-    if t < 2:
-        raise ValueError("mixing fractions are defined for stages t >= 2")
-    rate = stage_rate(t, stages, s_r, allocated_so_far, pixels)
-    alpha = rate / (t * s_r / stages)
-    alpha = min(max(alpha, 0.0), 1.0)
-    return alpha, 1.0 - alpha
-
-
-def fixed_ratio(cumulative_M) -> np.ndarray:
-    """Normalized share of the measurements each block already holds."""
-    cumulative = np.asarray(cumulative_M, dtype=np.float64)
-    total = cumulative.sum()
-    if total <= 0:
-        raise ValueError("no measurements allocated yet")
-    return cumulative / total
-
-
-def upper_bounds(cumulative_M, s_r_t: float, pixels: int, block_size: int) -> np.ndarray:
-    """Per-block caps a_i on the stage's allocation ratio.
-
-    A block can absorb at most B^2 - (already taken) more measurements,
-    and the stage hands out about q_i * s_r^t * pixels, hence
-    a_i = (B^2 - sum_j M_i^j) / (s_r^t * pixels).  Summing gives
-    sum(a) = (pixels - allocated) / (s_r^t * pixels), and the catch-up
-    rate satisfies s_r^t <= 1 - allocated / pixels whenever the overall
-    target rate is <= 1, so sum(a) >= 1 and the program stays feasible.
-    """
-    if s_r_t <= 0:
-        raise ValueError("stage rate must be positive")
-    cumulative = np.asarray(cumulative_M, dtype=np.float64)
-    return (block_size * block_size - cumulative) / (s_r_t * pixels)
-
-
 class BoundsPredictor:
     """Measurement-bound predictor for every block at once."""
 
@@ -183,6 +144,7 @@ class StageState:
     predicted_bounds: Optional[np.ndarray]
     problem: Optional[KlAllocProblem]
     solution: Optional[KlAllocSolution]
+    diagnostic: Optional[tuple]  # (cross_entropy, kl) of the prediction; None if none was scored
 
     def __post_init__(self):
         for name in ("stage_M", "cumulative_M"):
@@ -200,15 +162,12 @@ class MultiStagePlan:
     grid_cols: int
     target_rate: float
     stages: tuple  # of StageState
-    final_M: np.ndarray
-    diagnostics: tuple  # per stage: (cross_entropy, kl) or None
     records: Measurements
     threshold: float
 
-    def __post_init__(self):
-        final = np.asarray(self.final_M, dtype=np.int64)
-        final.setflags(write=False)
-        object.__setattr__(self, "final_M", final)
+    @property
+    def final_M(self) -> np.ndarray:
+        return self.records.counts
 
     @property
     def total_measurements(self) -> int:
@@ -254,7 +213,7 @@ def simulate(
     pixels = grid.padded_pixel_count
     if matrix.dim != dim:
         raise ValueError("operator size does not match the block size")
-    true_bounds = analysis.bounds.per_block_m
+    true_bounds = analysis.bounds
     predictor.begin_run(true_bounds)
 
     # every block uses the operator's rows in native order, so column j of `values`
@@ -263,7 +222,6 @@ def simulate(
     values = np.zeros((n, dim))
     cumulative = np.zeros(n, dtype=np.int64)
     stage_states = []
-    diagnostics = []
     for t in range(1, stages + 1):
         allocated = int(cumulative.sum())
         rate = stage_rate(t, stages, s_r, allocated, pixels)
@@ -279,12 +237,16 @@ def simulate(
             predicted = np.asarray(predictor.predict(values, cumulative), dtype=np.float64)
             if true_bounds.sum() > 0:
                 diagnostic = kl_diagnostic(true_bounds, predicted)
-            alpha, beta = mixing_coeffs(t, stages, s_r, allocated, pixels)
+            alpha = min(max(rate / (t * s_r / stages), 0.0), 1.0)
+            beta = 1.0 - alpha
+            # caps a_i: block i can absorb dim - cumulative_i more of the stage's rate * pixels,
+            # so sum(a) = (pixels - allocated) / (rate * pixels); the catch-up rate is at
+            # most 1 - allocated / pixels while the target rate is <= 1, so sum(a) >= 1
             problem = KlAllocProblem(
                 p=np.maximum(predicted, PREDICTION_FLOOR),
-                r=fixed_ratio(cumulative),
+                r=cumulative,  # KlAllocProblem divides by the total
                 alpha=alpha,
-                a=upper_bounds(cumulative, rate, pixels, block_size),
+                a=(dim - cumulative) / (rate * pixels),
             )
             solution = solve(problem)
             shares = budget * solution.q
@@ -294,7 +256,6 @@ def simulate(
         top = int(cumulative.max())
         if top > reached:
             values[:, reached:top] = sample_rows(matrix, reached + 1, top, blocks)
-        diagnostics.append(diagnostic)
         stage_states.append(
             StageState(
                 stage_index=t,
@@ -307,6 +268,7 @@ def simulate(
                 predicted_bounds=predicted,
                 problem=problem,
                 solution=solution,
+                diagnostic=diagnostic,
             )
         )
 
@@ -318,8 +280,6 @@ def simulate(
         grid_cols=grid.cols,
         target_rate=s_r,
         stages=tuple(stage_states),
-        final_M=cumulative,
-        diagnostics=tuple(diagnostics),
         records=Measurements(values, cumulative),
         threshold=analysis.threshold,
     )

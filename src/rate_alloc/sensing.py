@@ -138,11 +138,17 @@ def reconstruct_plan(plan, measurements: Measurements, matrix: MeasurementMatrix
     `plan` only needs block_size / grid_rows / grid_cols attributes, so
     both single-stage and multi-stage plans work.  Values are zero beyond
     each block's count, so one product over the used row prefix is the
-    per-block adjoint of every block at once.  A height or width the
-    plan's grid could not have been cut from raises ValueError.
+    per-block adjoint of every block at once.  An operator of another
+    block size, or a height or width the plan's grid could not have been
+    cut from, raises ValueError before the product.
     """
     b = plan.block_size
     n = plan.grid_rows * plan.grid_cols
+    if matrix.dim != b * b:
+        raise ValueError(f"operator of size {matrix.dim} does not fit {b}x{b} blocks")
+    if not (0 <= plan.grid_rows * b - original_h < b and 0 <= plan.grid_cols * b - original_w < b):
+        raise ValueError(f"a {original_h}x{original_w} image does not fit a "
+                         f"{plan.grid_rows}x{plan.grid_cols} grid of {b}x{b} blocks")
     if measurements.values.shape != (n, b * b):
         raise ValueError(f"measurements of shape {measurements.values.shape} do not fit {n} blocks")
     top = int(measurements.counts.max(initial=0))

@@ -41,7 +41,7 @@ def bounds_of(coeff_blocks, threshold):
     """Per-block bounds under a threshold, by the counts-to-bounds table `analyze` uses."""
     coeffs = np.asarray(coeff_blocks, dtype=np.float64)
     k = sparsity_profile(coeffs, threshold).per_block_k
-    return _bounds_from_counts(k, coeffs.shape[-1] * coeffs.shape[-2]).per_block_m
+    return _bounds_from_counts(k, coeffs.shape[-1] * coeffs.shape[-2])
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from rate_alloc.allocation import (
     single_stage_plan,
     uniform_plan,
 )
-from rate_alloc.analysis import BoundsProfile, analyze
+from rate_alloc.analysis import analyze
 from rate_alloc.imaging import Image, partition
 from rate_alloc.synthetic import synthetic_image
 
@@ -26,22 +26,22 @@ class TestRounding:
 
 class TestProportionalShares:
     def test_equal_bounds(self):
-        shares = proportional_shares(BoundsProfile(np.ones(4)), 100)
+        shares = proportional_shares(np.ones(4), 100)
         assert shares.tolist() == [25.0, 25.0, 25.0, 25.0]
 
     def test_weighted(self):
-        shares = proportional_shares(BoundsProfile(np.array([2.0, 1.0, 1.0])), 8)
+        shares = proportional_shares(np.array([2.0, 1.0, 1.0]), 8)
         assert shares.tolist() == [4.0, 2.0, 2.0]
 
     def test_zero_bounds_fall_back_to_uniform(self):
-        shares = proportional_shares(BoundsProfile(np.zeros(3)), 9)
+        shares = proportional_shares(np.zeros(3), 9)
         assert shares.tolist() == [3.0, 3.0, 3.0]
 
     def test_conserves_budget(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             m = rng.uniform(0.0, 5.0, size=int(rng.integers(1, 30)))
-            shares = proportional_shares(BoundsProfile(m), 777)
+            shares = proportional_shares(m, 777)
             assert shares.sum() == pytest.approx(777, abs=1e-9)
 
 
@@ -125,7 +125,7 @@ class TestSingleStagePlan:
     def test_monotone_fairness(self):
         img = synthetic_image("gradient")
         m = single_stage_plan(img, 32, 0.25).per_block_M
-        bounds = analyze(partition(img, 32), 0.25).bounds.per_block_m
+        bounds = analyze(partition(img, 32), 0.25).bounds
         for i in range(m.size):
             for j in range(m.size):
                 if bounds[i] >= bounds[j]:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import bounds_of
 from rate_alloc.analysis import (
     Analysis,
-    BoundsProfile,
     CurveParams,
     DEFAULT_CURVE,
     analyze,
@@ -18,6 +17,7 @@ from rate_alloc.analysis import (
     sparsity_profile,
     target_sparsity_ratio,
 )
+from rate_alloc.allocation import proportional_shares
 from rate_alloc.imaging import Image, dct2_blocks, partition
 from rate_alloc.synthetic import KINDS, synthetic_image
 
@@ -288,7 +288,7 @@ class TestProfiles:
 
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
-            BoundsProfile(np.array([-1.0]))
+            proportional_shares(np.array([-1.0]), 1)
 
 
 class TestAnalyze:
@@ -304,7 +304,8 @@ class TestAnalyze:
         assert np.array_equal(result.sparsity.per_block_k, sparsity.per_block_k)
         assert result.sparsity.overall_ratio == sparsity.overall_ratio
         expected = bounds_of(coeffs, result.threshold)
-        assert np.array_equal(result.bounds.per_block_m, expected)
+        assert np.array_equal(result.bounds, expected)
+        assert result.bounds.dtype == np.float64 and not result.bounds.flags.writeable
 
     def test_keeps_no_coefficients(self):
         result = analyze(partition(synthetic_image("gradient", 8), 8), 0.1)

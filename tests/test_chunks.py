@@ -65,7 +65,7 @@ class TestChunkEdges:
             want.grid, want.rate, want.target_ratio, want.threshold)
         assert got.sparsity.overall_ratio == want.sparsity.overall_ratio
         assert np.array_equal(got.sparsity.per_block_k, want.sparsity.per_block_k)
-        assert np.array_equal(got.bounds.per_block_m, want.bounds.per_block_m)
+        assert np.array_equal(got.bounds, want.bounds)
 
 
 SIDE, BLOCK = 512, 16

@@ -63,7 +63,7 @@ def simulation_record(name: str, block: int, stages: int, predictor: str, rate: 
         "stage_sha256": [counts_sha256(s.stage_M) for s in plan.stages],
         "budgets": [s.budget for s in plan.stages],
         "psnr": None if math.isinf(quality) else quality,
-        "diagnostics": [None if d is None else list(d) for d in plan.diagnostics],
+        "diagnostics": [None if s.diagnostic is None else list(s.diagnostic) for s in plan.stages],
     }
 
 

@@ -243,6 +243,11 @@ class TestSolve:
         with pytest.raises(InfeasibleProblemError):
             KlAllocProblem(p=[1.0], r=[1.0], alpha=0.5, a=[0.5])
 
+    def test_zero_total_fixed_ratio_rejected(self):
+        # r is normalized by its total, so all-zero fixed weights give no ratio
+        with pytest.raises(ValueError, match="positive total"):
+            KlAllocProblem(p=[1.0, 1.0, 1.0], r=np.zeros(3), alpha=0.5, a=[1.0, 1.0, 1.0])
+
     def test_zero_weight_zero_cap_mixtures(self):
         prob = KlAllocProblem(
             p=[0.0, 0.4, 0.6, 0.0], r=[0.25] * 4, alpha=0.8, a=[0.0, 0.9, 0.9, 2.0]

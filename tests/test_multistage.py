@@ -11,12 +11,9 @@ from rate_alloc.multistage import (
     EnergyBoundsPredictor,
     OracleBoundsPredictor,
     PREDICTION_FLOOR,
-    fixed_ratio,
     kl_diagnostic,
-    mixing_coeffs,
     run_simulation,
     stage_rate,
-    upper_bounds,
 )
 from rate_alloc.sensing import build_matrix, sample_rows
 from rate_alloc.synthetic import synthetic_image
@@ -55,79 +52,87 @@ class TestStageRate:
             stage_rate(3, 2, 0.3, 0, 1024)
 
 
-class TestMixingCoeffs:
-    def test_worked_example(self):
-        alpha, beta = mixing_coeffs(2, 2, 0.3, 153, 1024)
-        assert alpha == pytest.approx(0.501953125, abs=1e-12)
-        assert beta == pytest.approx(0.498046875, abs=1e-12)
-        assert alpha + beta == 1.0
+def one_block_run(rate, stages, matrix):
+    """A run on one textured 32x32 block (1024 pixels) with the oracle predictor."""
+    img = Image(np.random.default_rng(68).random((32, 32)))
+    return run_simulation(img, 32, rate, stages, OracleBoundsPredictor(), matrix)
 
-    def test_on_target_gives_one_over_t(self):
-        alpha, _ = mixing_coeffs(2, 2, 0.25, 128, 1024)
-        assert alpha == pytest.approx(0.5, abs=1e-15)
-        alpha, _ = mixing_coeffs(4, 4, 0.25, 192, 1024)
-        assert alpha == pytest.approx(0.25, abs=1e-12)
+
+def spent_stage_run(predictor=None):
+    """One 2x2 block at rate 0.3 over two stages: stage 1 spends round(0.6) = 1 of
+    the 4 pixels, which leaves stage 2 a rate of 0.3 - 1/4 and a budget of round(0.2) = 0."""
+    img = Image(np.full((2, 2), 0.5))
+    return run_simulation(img, 2, 0.3, 2, predictor or OracleBoundsPredictor(), build_matrix(2, 1))
+
+
+def on_target_run(stages, matrix):
+    """Checkerboard at rate 0.25: each stage's 0.25 / N * 9216 is whole, so no debt carries."""
+    return run_simulation(synthetic_image("checkerboard"), 32, 0.25, stages,
+                          OracleBoundsPredictor(), matrix)
+
+
+class TestMixingCoeffs:
+    def test_worked_example(self, matrix32):
+        # stage 1 spends round(0.15 * 1024) = 154, so stage 2's rate is 0.3 - 154/1024
+        # of the cumulative 0.3: alpha = 1 - 154 / 307.2
+        second = one_block_run(0.3, 2, matrix32).stages[1]
+        assert second.alpha == pytest.approx(1 - 154 / 307.2, abs=1e-12)
+        assert second.alpha == pytest.approx(0.498697917, abs=1e-9)
+        assert second.beta == pytest.approx(154 / 307.2, abs=1e-12)
+        assert second.alpha + second.beta == 1.0
+
+    def test_on_target_gives_one_over_t(self, matrix32):
+        assert on_target_run(2, matrix32).stages[1].alpha == pytest.approx(0.5, abs=1e-15)
+        later = on_target_run(4, matrix32).stages[1:]
+        for t, state in enumerate(later, start=2):
+            assert state.alpha == pytest.approx(1 / t, abs=1e-12)
 
     def test_exhausted_budget_clamps(self):
-        alpha, beta = mixing_coeffs(2, 2, 0.1, 100000, 1024)
-        assert alpha == 0.0 and beta == 1.0
-
-    def test_stage_one_rejected(self):
-        with pytest.raises(ValueError):
-            mixing_coeffs(1, 2, 0.3, 0, 1024)
+        spent = spent_stage_run().stages[1]
+        assert spent.alpha == 0.0 and spent.beta == 1.0
 
 
 class TestFixedRatio:
-    def test_uniform_after_stage_one(self):
-        assert np.allclose(fixed_ratio(np.array([7, 7, 7])), 1 / 3)
+    def test_uniform_after_stage_one(self, matrix32):
+        # stage 1 gives each of the 9 blocks 576 / 9 = 64
+        assert np.allclose(on_target_run(4, matrix32).stages[1].problem.r, 1 / 9)
 
-    def test_hand_case(self):
-        assert fixed_ratio(np.array([10, 30])).tolist() == [0.25, 0.75]
+    def test_hand_case(self, matrix32):
+        plan = on_target_run(4, matrix32)
+        held = [114, 114, 114, 114, 243, 114, 113, 113, 113]
+        assert plan.stages[1].cumulative_M.tolist() == held
+        assert plan.stages[2].problem.r.tolist() == [c / 1152 for c in held]
 
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(61)
-        for _ in range(20):
-            cum = rng.integers(1, 1000, size=int(rng.integers(1, 50)))
-            assert fixed_ratio(cum).sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_ratio(np.zeros(3))
+    def test_sums_to_one(self, matrix32):
+        for kind in ("checkerboard", "gradient"):
+            for predictor in (OracleBoundsPredictor(), EnergyBoundsPredictor()):
+                plan = run_simulation(synthetic_image(kind), 32, 0.3, 5, predictor, matrix32)
+                for prev, state in zip(plan.stages, plan.stages[1:]):
+                    held = prev.cumulative_M
+                    assert np.array_equal(state.problem.r, held / held.sum())
+                    assert state.problem.r.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestUpperBounds:
-    def test_worked_example(self):
-        rate = 0.3 - 153 / 1024
-        a = upper_bounds(np.array([153]), rate, 1024, 32)
-        assert a[0] == pytest.approx(871 / (rate * 1024), abs=1e-12)
-        assert a[0] == pytest.approx(5.6485, abs=1e-4)
+    def test_worked_example(self, matrix32):
+        # 1024 - 154 = 870 rows left for a stage handing out (0.3 - 154/1024) * 1024
+        second = one_block_run(0.3, 2, matrix32).stages[1]
+        assert second.problem.a[0] == pytest.approx(870 / (second.stage_rate * 1024), abs=1e-12)
+        assert second.problem.a[0] == pytest.approx(5.6789, abs=1e-4)
 
-    def test_exhausted_block(self):
-        a = upper_bounds(np.array([1024, 100]), 0.1, 2048, 32)
-        assert a[0] == 0.0
+    def test_exhausted_block(self, matrix32):
+        # at rate 0.9 over 6 stages the oracle fills the textured block before the last stage
+        prev, last = run_simulation(synthetic_image("checkerboard"), 32, 0.9, 6,
+                                    OracleBoundsPredictor(), matrix32).stages[-2:]
+        assert prev.cumulative_M[4] == 1024
+        assert last.problem.a[4] == 0.0
+        assert (np.delete(last.problem.a, 4) > 0).all()
 
-    def test_small_rate_large_headroom(self):
-        a = upper_bounds(np.array([0]), 1e-4, 1024, 32)
-        assert a[0] > 1000
-
-    def test_caps_always_feasible(self):
-        # sum(a) >= 1 whenever the overall target rate is at most 1
-        rng = np.random.default_rng(62)
-        for _ in range(200):
-            n = int(rng.integers(1, 30))
-            b = 32
-            pixels = n * b * b
-            s_r = float(rng.uniform(0.01, 1.0))
-            stages = int(rng.integers(2, 9))
-            t = int(rng.integers(2, stages + 1))
-            target = t * s_r / stages * pixels
-            cum = rng.integers(1, b * b + 1, size=n)
-            allocated = min(int(cum.sum()), int(target))
-            cum = np.minimum(cum, b * b)
-            rate = stage_rate(t, stages, s_r, allocated, pixels)
-            if rate <= 0:
-                continue
-            assert upper_bounds(cum, rate, pixels, b).sum() >= 1.0 - 1e-9
+    def test_small_rate_large_headroom(self, matrix32):
+        # 20 stages at rate 0.01: stage 3 hands out one measurement of 1023 free rows
+        third = one_block_run(0.01, 20, matrix32).stages[2]
+        assert third.budget == 1
+        assert third.problem.a[0] > 1000
 
 
 class TestPredictors:
@@ -242,7 +247,7 @@ class TestRunSimulation:
         for predictor in (OracleBoundsPredictor(), EnergyBoundsPredictor()):
             plan = run_simulation(img, 32, 0.3, 5, predictor, matrix32)
             records = plan.records
-            assert np.array_equal(records.counts, plan.final_M)
+            assert plan.final_M is records.counts
             assert records.counts.max() <= 1024
             blocks = partition(img, 32).blocks
             for i, count in enumerate(records.counts):
@@ -281,16 +286,16 @@ class TestRunSimulation:
     def test_diagnostics_present_for_later_stages(self, matrix32):
         img = synthetic_image("checkerboard")
         plan = run_simulation(img, 32, 0.2, 3, OracleBoundsPredictor(), matrix32)
-        assert plan.diagnostics[0] is None
-        for diag in plan.diagnostics[1:]:
-            ce, kl = diag
+        assert plan.stages[0].diagnostic is None
+        for state in plan.stages[1:]:
+            ce, kl = state.diagnostic
             assert kl >= -1e-12
 
     def test_oracle_diagnostic_is_zero_kl(self, matrix32):
         # the oracle predicts the true bounds, so stage KL must vanish
         img = synthetic_image("checkerboard")
         plan = run_simulation(img, 32, 0.2, 2, OracleBoundsPredictor(), matrix32)
-        _, kl = plan.diagnostics[1]
+        _, kl = plan.stages[1].diagnostic
         assert kl <= 1e-9
 
     def test_energy_predictor_runs(self, matrix32):
@@ -329,10 +334,7 @@ class TestRunSimulation:
             def predict(self, values, counts):
                 raise AssertionError("a spent stage must not predict")
 
-        # one 2x2 block at rate 0.3: stage 1 spends round(0.6) = 1 of the 4 pixels,
-        # which leaves stage 2 a rate of 0.3 - 1/4 and a budget of round(0.2) = 0
-        img = Image(np.full((2, 2), 0.5))
-        plan = run_simulation(img, 2, 0.3, 2, Refusing(), build_matrix(2, 1))
+        plan = spent_stage_run(Refusing())
         first, spent = plan.stages
         assert first.budget == 1 and first.stage_M.tolist() == [1]
         assert spent.stage_rate == pytest.approx(0.05, abs=1e-15) and spent.stage_rate < 0.05
@@ -340,7 +342,7 @@ class TestRunSimulation:
         assert (spent.alpha, spent.beta) == (0.0, 1.0)
         assert spent.stage_M.tolist() == [0] and spent.cumulative_M.tolist() == [1]
         assert spent.predicted_bounds is None and spent.problem is None and spent.solution is None
-        assert plan.diagnostics == (None, None)
+        assert first.diagnostic is None and spent.diagnostic is None
         assert plan.final_M.tolist() == [1] and plan.records.counts.tolist() == [1]
 
     def test_full_rate_saturates_all_blocks(self, matrix32):

@@ -92,6 +92,11 @@ def test_simulation_invariants(seed, h, w, block, rate, stages, predictor):
         assert state.budget == max(round_half_up(state.stage_rate * pixels), 0)
         assert int(state.stage_M.sum()) == state.budget
         assert state.stage_M.min() >= 0
+        if state.problem is not None:
+            # the caps over positive target weights leave the program feasible
+            assert state.problem.a[state.problem.p > 0].sum() >= 1.0 - 1e-9
+        else:
+            assert state.diagnostic is None
         cumulative += state.stage_M
         assert np.array_equal(state.cumulative_M, cumulative)
         allocated += state.budget

@@ -67,3 +67,12 @@ def test_every_public_name_has_a_user():
 def test_package_root_reexports_nothing():
     body = parse(PACKAGE / "__init__.py").body
     assert len(body) == 1 and isinstance(body[0].value, ast.Constant)
+
+
+def test_readme_library_block_runs():
+    # the other direction of the guard above: every entry point README imports exists
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S)
+    assert block, "README's Library use section has no python block"
+    exec(compile(block.group(1), "README.md", "exec"), {})

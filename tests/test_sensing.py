@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rate_alloc import sensing
 from rate_alloc.allocation import uniform_plan
 from rate_alloc.imaging import Image, assemble, partition
 from rate_alloc.sensing import (
@@ -212,6 +213,18 @@ class TestBatches:
             adjoint_reconstruct(matrix8, 1, 4, np.zeros(4))
 
 
+def counted_adjoint(monkeypatch) -> list:
+    """Route `reconstruct_plan`'s adjoint through a recorder; returns its list of calls."""
+    calls = []
+
+    def adjoint(*args):
+        calls.append(args)
+        return adjoint_reconstruct(*args)
+
+    monkeypatch.setattr(sensing, "adjoint_reconstruct", adjoint)
+    return calls
+
+
 class TestReconstructPlan:
     def test_full_rate_recovers_image(self, matrix32):
         img = synthetic_image("gradient")
@@ -236,14 +249,28 @@ class TestReconstructPlan:
         with pytest.raises(ValueError):
             reconstruct_plan(plan, short, matrix32, 96, 96)
 
-    def test_size_inconsistent_with_plan_rejected(self, matrix8):
+    def test_size_inconsistent_with_plan_rejected(self, matrix8, monkeypatch):
         img = Image(np.zeros((16, 16)))
         plan = uniform_plan(img, 8, 0.5)
         records = sample_plan(partition(img, 8), plan.per_block_M, matrix8)
         assert reconstruct_plan(plan, records, matrix8, 9, 16).height == 9
+        calls = counted_adjoint(monkeypatch)
         for h, w in [(3, 16), (16, 3), (17, 16), (16, 8), (0, 16)]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"a {h}x{w} image does not fit a 2x2 grid of 8x8"):
                 reconstruct_plan(plan, records, matrix8, h, w)
+        assert calls == []  # rejected before the adjoint product
+
+    def test_operator_of_another_block_size_rejected_before_the_product(self, matrix8, monkeypatch):
+        img = Image(np.zeros((16, 16)))
+        plan = uniform_plan(img, 4, 0.5)
+        matrix4 = build_matrix(4, 1)
+        records = sample_plan(partition(img, 4), plan.per_block_M, matrix4)
+        calls = counted_adjoint(monkeypatch)
+        with pytest.raises(ValueError, match="operator of size 64 does not fit 4x4 blocks"):
+            reconstruct_plan(plan, records, matrix8, 16, 16)
+        assert calls == []
+        reconstruct_plan(plan, records, matrix4, 16, 16)
+        assert len(calls) == 1
 
     def test_matches_per_block_adjoint(self, matrix8):
         rng = np.random.default_rng(59)
