@@ -134,6 +134,22 @@ class TestUpperBounds:
         assert third.budget == 1
         assert third.problem.a[0] > 1000
 
+    def test_caps_always_feasible(self):
+        # sum(a) >= 1 on every solved stage whenever the overall target rate is at most 1
+        rng = np.random.default_rng(62)
+        matrix = build_matrix(8, seed=1)
+        for _ in range(200):
+            h, w = 8 * rng.integers(1, 6, size=2)
+            rate = float(rng.uniform(0.01, 1.0))
+            stages = int(rng.integers(2, 9))
+            if round_half_up(rate / stages * h * w) < h * w // 64:
+                continue  # a starved first stage is rejected before any caps exist
+            plan = run_simulation(Image(rng.random((h, w))), 8, rate, stages,
+                                  OracleBoundsPredictor(), matrix)
+            for state in plan.stages:
+                if state.problem is not None:
+                    assert state.problem.a.sum() >= 1.0 - 1e-9
+
 
 class TestPredictors:
     def test_oracle_matches_analysis(self, matrix32):
