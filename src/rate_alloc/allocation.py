@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import Analysis, CurveParams, DEFAULT_CURVE, analyze
+from .analysis import Analysis, analyze
 from .imaging import BlockGrid, Image, partition
 
 
@@ -115,22 +115,18 @@ def apportion(shares, budget: int, cap) -> np.ndarray:
 
 def plan_from_bounds(
     grid: BlockGrid,
-    bounds: Optional[np.ndarray],
+    bounds: np.ndarray,
     s_r: float,
     threshold: Optional[float],
 ) -> AllocationPlan:
     """Apportion the rate's budget over a grid proportionally to bounds.
 
-    Without bounds every block gets an equal share: the uniform baseline.
+    All-zero bounds give every block an equal share: the uniform baseline.
     """
     if not (0 < s_r <= 1):
         raise ValueError("sampling rate must lie in (0, 1]")
     budget = round_half_up(s_r * grid.padded_pixel_count)
-    if bounds is None:
-        shares = np.full(grid.block_count, budget / grid.block_count)
-    else:
-        shares = proportional_shares(bounds, budget)
-    counts = apportion(shares, budget, grid.block_size * grid.block_size)
+    counts = apportion(proportional_shares(bounds, budget), budget, grid.block_size * grid.block_size)
     return AllocationPlan(
         block_size=grid.block_size,
         grid_rows=grid.rows,
@@ -147,16 +143,12 @@ def adaptive_plan(analysis: Analysis) -> AllocationPlan:
     return plan_from_bounds(analysis.grid, analysis.bounds, analysis.rate, analysis.threshold)
 
 
-def single_stage_plan(
-    image: Image,
-    block_size: int,
-    s_r: float,
-    curve: CurveParams = DEFAULT_CURVE,
-) -> AllocationPlan:
+def single_stage_plan(image: Image, block_size: int, s_r: float) -> AllocationPlan:
     """Full single-pass pipeline: partition, analyze, apportion."""
-    return adaptive_plan(analyze(partition(image, block_size), s_r, curve))
+    return adaptive_plan(analyze(partition(image, block_size), s_r))
 
 
 def uniform_plan(image: Image, block_size: int, s_r: float) -> AllocationPlan:
     """Uniform-rate baseline: every block gets an equal slice of the budget."""
-    return plan_from_bounds(partition(image, block_size), None, s_r, None)
+    grid = partition(image, block_size)
+    return plan_from_bounds(grid, np.zeros(grid.block_count), s_r, None)

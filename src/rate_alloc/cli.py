@@ -75,20 +75,21 @@ def _curve(args) -> analysis.CurveParams:
     return analysis.CurveParams(a=a, b=b, s_r1=sr1, p_s1=ps1)
 
 
-def _analyze(args, image: imaging.Image, stages: int) -> analysis.Analysis:
-    """Partition, reject a stage count that starves stage 1, then analyze once.
+def _grid(args, image: imaging.Image, stages: int) -> imaging.BlockGrid:
+    """Partition and reject a stage count that starves stage 1.
 
     The check needs only the grid's shape, so a bad count fails before the
     analysis and before any operator is built.
     """
     grid = imaging.partition(image, args.block_size)
     multistage.check_stages(grid, args.rate, stages)
-    return analysis.analyze(grid, args.rate, _curve(args))
+    return grid
 
 
 def cmd_analyze(args) -> int:
-    result = _analyze(args, _load_image(args), 1)
-    grid, profile, bounds = result.grid, result.sparsity, result.bounds
+    grid = _grid(args, _load_image(args), 1)
+    result = analysis.analyze(grid, args.rate, _curve(args))
+    profile, bounds = result.sparsity, result.bounds
     total_bounds = float(bounds.sum())
 
     out = Path(args.out)
@@ -122,7 +123,8 @@ def _plan_json(plan: allocation.AllocationPlan) -> str:
 
 
 def cmd_allocate(args) -> int:
-    plan = allocation.adaptive_plan(_analyze(args, _load_image(args), 1))
+    grid = _grid(args, _load_image(args), 1)
+    plan = allocation.adaptive_plan(analysis.analyze(grid, args.rate, _curve(args)))
     out = Path(args.out)
     _write_atomic(out / "plan.json", _plan_json(plan))
     _write_atomic(
@@ -134,13 +136,14 @@ def cmd_allocate(args) -> int:
 
 
 def _sense(args):
-    """Load and analyze the image, run the multi-stage plan once, reconstruct and score it.
+    """Build the operator, analyze the image once, run the multi-stage plan, reconstruct and score it.
 
     Returns (image, analysis, operator, plan, reconstruction, PSNR in dB).
     """
     image = _load_image(args)
-    result = _analyze(args, image, args.stages)
+    grid = _grid(args, image, args.stages)
     matrix = sensing.build_matrix(args.block_size, args.seed)
+    result = analysis.analyze(grid, args.rate, _curve(args))
     predictor = multistage.PREDICTORS[args.predictor]()
     plan = multistage.simulate(result, args.stages, predictor, matrix)
     recon = sensing.reconstruct_plan(plan, plan.records, matrix, image.height, image.width)
@@ -211,7 +214,7 @@ def cmd_compare(args) -> int:
     image, result, matrix, multi, recon, multi_quality = _sense(args)
     del recon  # scored; holding it would add an image to the peak of the rows below
     grid = result.grid
-    uniform = allocation.plan_from_bounds(grid, None, args.rate, None)
+    uniform = allocation.plan_from_bounds(grid, np.zeros(grid.block_count), args.rate, None)
     adaptive = allocation.adaptive_plan(result)
     true_bounds = result.bounds
 
@@ -304,7 +307,7 @@ def main(argv=None) -> int:
     except kl_solver.InfeasibleProblemError as exc:
         print(f"error: infeasible problem: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (imaging.PgmError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

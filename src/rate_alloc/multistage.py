@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .allocation import apportion, round_half_up
-from .analysis import Analysis, CurveParams, DEFAULT_CURVE, analyze
+from .analysis import Analysis, analyze
 from .imaging import BlockGrid, Image, partition
 from .kl_solver import KlAllocProblem, KlAllocSolution, solve
 from .sensing import MeasurementMatrix, Measurements, sample_rows
@@ -181,12 +181,11 @@ def run_simulation(
     stages: int,
     predictor: BoundsPredictor,
     matrix: MeasurementMatrix,
-    curve: CurveParams = DEFAULT_CURVE,
 ) -> MultiStagePlan:
     """Partition, check the stage count, analyze, then :func:`simulate`."""
     grid = partition(image, block_size)
     check_stages(grid, s_r, stages)
-    return simulate(analyze(grid, s_r, curve), stages, predictor, matrix)
+    return simulate(analyze(grid, s_r), stages, predictor, matrix)
 
 
 def simulate(

@@ -13,24 +13,21 @@ about.  Blocks that receive no measurements reconstruct to zero.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .imaging import BlockGrid, Image, assemble
 
-_MAGIC = b"MBRM"
-_FORMAT_VERSION = 1
+# the build holds about five dim^2 float64 arrays: 640 MiB at B=64, 10 GiB at B=128
+_MAX_BLOCK_SIZE = 64
 
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """Orthonormal-row operator, reproducible from (dim, seed)."""
+    """Orthonormal-row operator, reproducible from its block size and seed."""
 
     dim: int
-    seed: int
     rows: np.ndarray
 
     def __post_init__(self):
@@ -73,10 +70,15 @@ def build_matrix(block_size: int, seed: int) -> MeasurementMatrix:
 
     Generator: numpy PCG64 seeded with `seed`, standard_normal draws in
     C order; rows orthonormalized by QR of the transpose and sign-fixed.
-    Retries with seed+1 (at most 8 times) on a rank-deficient draw.
+    Retries with seed+1 (at most 8 times) on a rank-deficient draw.  A
+    negative seed or a block size above 64 raises ValueError before the draw.
     """
     if block_size < 2:
         raise ValueError("block size must be at least 2")
+    if block_size > _MAX_BLOCK_SIZE:
+        raise ValueError(f"block size {block_size} is above the operator limit of {_MAX_BLOCK_SIZE}")
+    if seed < 0:
+        raise ValueError(f"operator seed {seed} must be non-negative")
     dim = block_size * block_size
     for attempt in range(9):
         rng = np.random.Generator(np.random.PCG64(seed + attempt))
@@ -88,7 +90,7 @@ def build_matrix(block_size: int, seed: int) -> MeasurementMatrix:
         rows[first < 0] *= -1.0
         gram_err = np.abs(rows @ rows.T - np.eye(dim)).max()
         if gram_err <= 1e-9:
-            return MeasurementMatrix(dim=dim, seed=seed, rows=rows)
+            return MeasurementMatrix(dim=dim, rows=rows)
     raise RuntimeError(f"rank-deficient draws for seeds {seed}..{seed + 8}")
 
 
@@ -172,26 +174,3 @@ def psnr(reference: Image, estimate: Image) -> float:
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
-
-
-def save_matrix(matrix: MeasurementMatrix, path) -> None:
-    """Binary dump: 16-byte header (magic, version, dim, seed) + LE float64 rows."""
-    header = struct.pack("<4sHHQ", _MAGIC, _FORMAT_VERSION, matrix.dim, matrix.seed)
-    payload = matrix.rows.astype("<f8").tobytes()
-    Path(path).write_bytes(header + payload)
-
-
-def load_matrix(path) -> MeasurementMatrix:
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise ValueError("matrix file shorter than its header")
-    magic, version, dim, seed = struct.unpack("<4sHHQ", data[:16])
-    if magic != _MAGIC:
-        raise ValueError(f"bad matrix magic {magic!r}")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported matrix format version {version}")
-    need = dim * dim * 8
-    if len(data) != 16 + need:
-        raise ValueError("matrix payload size mismatch")
-    rows = np.frombuffer(data, "<f8", offset=16).reshape(dim, dim)
-    return MeasurementMatrix(dim=dim, seed=seed, rows=rows)

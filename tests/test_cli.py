@@ -363,3 +363,20 @@ class TestFailFast:
         err = capsys.readouterr().err
         assert "block count" in err
         assert re.search(r"at most \d+ stage\(s\)", err)
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--seed", -1), "operator seed -1 must be non-negative"),
+        (("--block-size", 128), "block size 128 is above the operator limit of 64"),
+    ])
+    def test_bad_operator_exits_before_analysis(self, command, flags, message, tmp_path, monkeypatch, capsys):
+        from rate_alloc import imaging
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("image analyzed or operator drawn before the operator's inputs were checked")
+
+        replace_everywhere(monkeypatch, imaging, "dct2_blocks", forbidden)
+        monkeypatch.setattr(np.random, "PCG64", forbidden)
+        rc = run(command, "--synthetic", "checkerboard", "--rate", 0.1, *flags, "--out", tmp_path / "out")
+        assert rc == 2
+        assert message in capsys.readouterr().err

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rate_alloc.allocation import uniform_plan
 from rate_alloc.imaging import Image, assemble, partition
 from rate_alloc.multistage import PREDICTORS, run_simulation
 from rate_alloc.sensing import build_matrix, reconstruct_plan, sample_plan
@@ -103,6 +104,9 @@ def test_simulation_invariants(seed, h, w, block, rate, stages, predictor):
     assert cumulative.max() <= dim
     assert np.array_equal(plan.final_M, cumulative)
     assert plan.total_measurements == allocated == round_half_up(rate * pixels)
+    if stages == 1:
+        # a one-stage run is the uniform baseline, padded grids included
+        assert np.array_equal(plan.final_M, uniform_plan(image, block, rate).per_block_M)
 
     records = plan.records
     assert np.array_equal(records.counts, plan.final_M)

@@ -5,10 +5,12 @@ counts as used when code in `src/rate_alloc` refers to it outside its own
 definition, when code under `benchmarks/` refers to it, or when README
 names it in code (a code span or block).  A re-export in `__init__.py` is
 not a use.  A name that is none of these is dead API: delete it, or move
-it into the test that keeps it as a reference.
+it into the test that keeps it as a reference.  The other way round,
+every `module.name` README names in code must exist.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -37,14 +39,19 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
+def readme_code() -> str:
+    """README's code blocks and code spans, joined."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    fenced = re.compile(r"```.*?```", re.S)
+    return " ".join(fenced.findall(readme) + re.findall(r"`[^`\n]+`", fenced.sub("", readme)))
+
+
 def test_every_public_name_has_a_user():
     modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     del modules["__init__"]
     refs = {stem: references(tree) for stem, tree in modules.items()}
     benchmarks = set().union(*(references(parse(path)) for path in (ROOT / "benchmarks").glob("*.py")))
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    fenced = re.compile(r"```.*?```", re.S)
-    code_spans = " ".join(fenced.findall(readme) + re.findall(r"`[^`\n]+`", fenced.sub("", readme)))
+    code_spans = readme_code()
 
     checked, dead = [], []
     for stem, tree in modules.items():
@@ -62,6 +69,16 @@ def test_every_public_name_has_a_user():
                 dead.append(f"{stem}.{node.name}")
     assert "analysis.analyze" in checked and len(checked) > 40
     assert dead == [], f"public names without a caller or a README entry: {dead}"
+
+
+def test_readme_names_resolve():
+    # README code that names `module.name` for a package module names something that exists
+    stems = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    named = set(re.findall(rf"(?<!\w)({'|'.join(stems)})\.(\w+)", readme_code()))
+    assert ("sensing", "build_matrix") in named
+    stale = sorted(f"{stem}.{name}" for stem, name in named
+                   if not hasattr(importlib.import_module(f"rate_alloc.{stem}"), name))
+    assert stale == [], f"README names what its module does not define: {stale}"
 
 
 def test_package_root_reexports_nothing():

@@ -11,12 +11,10 @@ from rate_alloc.sensing import (
     Measurements,
     adjoint_reconstruct,
     build_matrix,
-    load_matrix,
     psnr,
     reconstruct_plan,
     sample_plan,
     sample_rows,
-    save_matrix,
 )
 from rate_alloc.synthetic import synthetic_image
 
@@ -50,6 +48,24 @@ class TestBuildMatrix:
     def test_small_block_rejected(self):
         with pytest.raises(ValueError):
             build_matrix(1, seed=0)
+
+    @pytest.mark.parametrize("block_size, seed, message", [
+        (65, 1, "block size 65 is above the operator limit of 64"),
+        (128, 1, "block size 128 is above the operator limit of 64"),
+        (8, -1, "operator seed -1 must be non-negative"),
+    ])
+    def test_rejected_before_the_draw(self, block_size, seed, message, monkeypatch):
+        def forbidden(*args, **kwargs):
+            pytest.fail("the operator was drawn before its inputs were checked")
+
+        monkeypatch.setattr(np.random, "PCG64", forbidden)
+        with pytest.raises(ValueError, match=message):
+            build_matrix(block_size, seed)
+
+    def test_rows_read_only(self, matrix8):
+        assert not matrix8.rows.flags.writeable
+        with pytest.raises(ValueError):
+            matrix8.rows[0, 0] = 0.0
 
 
 class TestSampleRows:
@@ -307,28 +323,3 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(Image(np.zeros((2, 2))), Image(np.zeros((2, 3))))
 
-
-class TestMatrixDump:
-    def test_round_trip_bit_exact(self, tmp_path, matrix8):
-        path = tmp_path / "op.mbrm"
-        save_matrix(matrix8, path)
-        back = load_matrix(path)
-        assert back.dim == matrix8.dim and back.seed == matrix8.seed
-        assert np.array_equal(back.rows, matrix8.rows)
-        assert back.rows.tobytes() == matrix8.rows.tobytes()
-        assert not back.rows.flags.writeable
-        with pytest.raises(ValueError):
-            back.rows[0, 0] = 0.0
-
-    def test_header_layout(self, tmp_path, matrix8):
-        path = tmp_path / "op.mbrm"
-        save_matrix(matrix8, path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"MBRM"
-        assert len(blob) == 16 + 64 * 64 * 8
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.mbrm"
-        path.write_bytes(b"XXXX" + bytes(12))
-        with pytest.raises(ValueError):
-            load_matrix(path)
