@@ -104,13 +104,7 @@ def apportion(shares, budget: int, cap) -> np.ndarray:
         counts[over] = caps[over]
         capped |= over
         free = np.flatnonzero(~capped)
-        free_shares = shares[free]
-        total = free_shares.sum()
-        if total > 0:
-            scaled = surplus * free_shares / total
-        else:
-            scaled = np.full(free.size, surplus / free.size)
-        counts[free] += _largest_remainder(scaled, surplus)
+        counts[free] += _largest_remainder(proportional_shares(shares[free], surplus), surplus)
 
 
 def plan_from_bounds(

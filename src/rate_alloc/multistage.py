@@ -65,16 +65,15 @@ def check_stages(grid: BlockGrid, s_r: float, stages: int) -> None:
 
 
 class BoundsPredictor:
-    """Measurement-bound predictor for every block at once."""
+    """Measurement-bound predictor for every block at once, holding no state."""
 
-    def begin_run(self, true_bounds: np.ndarray) -> None:
-        """Called once per run before any prediction; only the oracle uses `true_bounds`."""
-
-    def predict(self, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    def predict(self, values: np.ndarray, counts: np.ndarray,
+                true_bounds: np.ndarray) -> np.ndarray:
         """Predicted bounds, shape (blocks,), from the measurements so far.
 
         Block i's are values[i, :counts[i]]; later columns may already hold
         rows not yet allotted to it, so a predictor reads only that prefix.
+        Only the oracle reads `true_bounds`.
         """
         raise NotImplementedError
 
@@ -82,14 +81,8 @@ class BoundsPredictor:
 class OracleBoundsPredictor(BoundsPredictor):
     """Returns the true bounds; an upper bound on any predictor's skill."""
 
-    def __init__(self):
-        self._bounds = None
-
-    def begin_run(self, true_bounds):
-        self._bounds = true_bounds
-
-    def predict(self, values, counts):
-        return self._bounds
+    def predict(self, values, counts, true_bounds):
+        return true_bounds
 
 
 class EnergyBoundsPredictor(BoundsPredictor):
@@ -98,7 +91,7 @@ class EnergyBoundsPredictor(BoundsPredictor):
     The first value, a DC stand-in, is left out; results are floored at PREDICTION_FLOOR.
     """
 
-    def predict(self, values, counts):
+    def predict(self, values, counts, true_bounds):
         predicted = np.full(counts.size, PREDICTION_FLOOR)
         # one reduction per distinct count; counts below 2 leave no AC entry
         for count in np.unique(counts[counts >= 2]):
@@ -147,8 +140,11 @@ class StageState:
     diagnostic: Optional[tuple]  # (cross_entropy, kl) of the prediction; None if none was scored
 
     def __post_init__(self):
-        for name in ("stage_M", "cumulative_M"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+        for name, dtype in (("stage_M", np.int64), ("cumulative_M", np.int64),
+                            ("predicted_bounds", np.float64)):
+            if getattr(self, name) is None:
+                continue
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -213,7 +209,6 @@ def simulate(
     if matrix.dim != dim:
         raise ValueError("operator size does not match the block size")
     true_bounds = analysis.bounds
-    predictor.begin_run(true_bounds)
 
     # every block uses the operator's rows in native order, so column j of `values`
     # is row j+1 applied to all blocks; a stage computes only columns not yet reached
@@ -233,7 +228,8 @@ def simulate(
             # budget already spent (rounding overshoot): zero-measurement stage
             shares, alpha, beta = np.zeros(n), 0.0, 1.0
         else:
-            predicted = np.asarray(predictor.predict(values, cumulative), dtype=np.float64)
+            predicted = np.asarray(predictor.predict(values, cumulative, true_bounds),
+                                   dtype=np.float64)
             if true_bounds.sum() > 0:
                 diagnostic = kl_diagnostic(true_bounds, predicted)
             alpha = min(max(rate / (t * s_r / stages), 0.0), 1.0)

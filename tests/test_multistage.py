@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import bounds_of
+from rate_alloc import multistage
 from rate_alloc.allocation import round_half_up, uniform_plan
 from rate_alloc.imaging import Image, dct2_blocks, partition
 from rate_alloc.multistage import (
@@ -11,6 +13,7 @@ from rate_alloc.multistage import (
     EnergyBoundsPredictor,
     OracleBoundsPredictor,
     PREDICTION_FLOOR,
+    PREDICTORS,
     kl_diagnostic,
     run_simulation,
     stage_rate,
@@ -50,6 +53,18 @@ class TestStageRate:
     def test_bad_stage_index(self):
         with pytest.raises(ValueError):
             stage_rate(3, 2, 0.3, 0, 1024)
+
+
+def arrays_in(obj):
+    """Every ndarray reachable from a result through dataclass attributes and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from arrays_in(item)
+    elif dataclasses.is_dataclass(obj):
+        for value in vars(obj).values():
+            yield from arrays_in(value)
 
 
 def one_block_run(rate, stages, matrix):
@@ -162,9 +177,8 @@ class TestPredictors:
 
     def test_flat_block_near_zero(self):
         coeffs = dct2_blocks(np.full((1, 8, 8), 0.5))
-        oracle = OracleBoundsPredictor()
-        oracle.begin_run(bounds_of(coeffs, 0.5))
-        predicted = oracle.predict(np.zeros((1, 64)), np.array([1]))
+        predicted = OracleBoundsPredictor().predict(np.zeros((1, 64)), np.array([1]),
+                                                    bounds_of(coeffs, 0.5))
         assert predicted[0] == pytest.approx(
             math.log10(64), abs=1e-12
         )  # only the DC coefficient survives
@@ -196,7 +210,7 @@ class TestPredictors:
         counts = rng.integers(0, 65, size=300)
         values = np.where(np.arange(64) < counts[:, None], rng.standard_normal((300, 64)), 0.0)
         values[:5] = 0.0  # flat blocks fall to the floor
-        batched = EnergyBoundsPredictor().predict(values, counts)
+        batched = EnergyBoundsPredictor().predict(values, counts, None)
         assert batched.shape == (300,)
         for i in range(300):
             assert batched[i] == predict_bounds_energy(values[i], int(counts[i]))
@@ -204,12 +218,48 @@ class TestPredictors:
     def test_oracle_returns_true_bounds(self):
         bounds = np.array([0.5, 2.0, 1.0])
         oracle = OracleBoundsPredictor()
-        oracle.begin_run(bounds)
-        assert np.array_equal(oracle.predict(np.zeros((3, 4)), np.array([1, 1, 1])), bounds)
+        assert np.array_equal(oracle.predict(np.zeros((3, 4)), np.array([1, 1, 1]), bounds), bounds)
 
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):
-            BoundsPredictor().predict(np.zeros(4), None)
+            BoundsPredictor().predict(np.zeros(4), None, None)
+
+    def test_shared_oracle_serves_each_run_its_own_bounds(self, monkeypatch):
+        # a second run on the same oracle, started inside the first run's stage-2 solve,
+        # leaves the first run's later stages as they are when it runs alone
+        matrix = build_matrix(8, seed=1)
+        oracle = OracleBoundsPredictor()
+        gradient, checker = synthetic_image("gradient", 8), synthetic_image("checkerboard", 8)
+        solo = run_simulation(gradient, 8, 0.3, 3, oracle, matrix)
+        solo_checker = run_simulation(checker, 8, 0.3, 3, oracle, matrix)
+        solve, calls, nested = multistage.solve, [], []
+
+        def solve_starting_another_run(problem):
+            calls.append(problem)
+            if len(calls) == 1:
+                nested.append(run_simulation(checker, 8, 0.3, 3, oracle, matrix))
+            return solve(problem)
+
+        monkeypatch.setattr(multistage, "solve", solve_starting_another_run)
+        interleaved = run_simulation(gradient, 8, 0.3, 3, oracle, matrix)
+        assert len(nested) == 1 and len(calls) > 2
+        assert interleaved.final_M.tolist() == solo.final_M.tolist()
+        assert ([state.stage_M.tolist() for state in interleaved.stages]
+                == [state.stage_M.tolist() for state in solo.stages])
+        assert nested[0].final_M.tolist() == solo_checker.final_M.tolist()
+
+    @pytest.mark.parametrize("name", sorted(PREDICTORS))
+    def test_results_read_only_and_predictors_stateless(self, name, matrix32):
+        predictor = PREDICTORS[name]()
+        plan = run_simulation(synthetic_image("gradient"), 32, 0.3, 3, predictor, matrix32)
+        arrays = list(arrays_in(plan))
+        solved = plan.stages[1]
+        for expected in (solved.stage_M, solved.cumulative_M, solved.predicted_bounds,
+                         solved.problem.p, solved.problem.r, solved.problem.a, solved.solution.q,
+                         plan.records.values, plan.records.counts):
+            assert any(array is expected for array in arrays)
+        assert [array.shape for array in arrays if array.flags.writeable] == []
+        assert vars(predictor) == {}
 
 
 class TestKlDiagnostic:
@@ -347,7 +397,7 @@ class TestRunSimulation:
 
     def test_spent_stage_takes_nothing_and_never_predicts(self):
         class Refusing(BoundsPredictor):
-            def predict(self, values, counts):
+            def predict(self, values, counts, true_bounds):
                 raise AssertionError("a spent stage must not predict")
 
         plan = spent_stage_run(Refusing())

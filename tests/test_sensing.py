@@ -62,6 +62,20 @@ class TestBuildMatrix:
         with pytest.raises(ValueError, match=message):
             build_matrix(block_size, seed)
 
+    def test_one_draw_per_seed(self, monkeypatch):
+        # rows failing the Gram check raise under their own seed; no other seed is drawn
+        seeds, pcg64 = [], np.random.PCG64
+
+        def counted(seed):
+            seeds.append(seed)
+            return pcg64(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", counted)
+        monkeypatch.setattr(np.linalg, "qr", lambda a: (2.0 * np.eye(a.shape[0]), None))
+        with pytest.raises(RuntimeError, match=r"seed 3\b"):
+            build_matrix(8, 3)
+        assert seeds == [3]
+
     def test_rows_read_only(self, matrix8):
         assert not matrix8.rows.flags.writeable
         with pytest.raises(ValueError):
