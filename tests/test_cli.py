@@ -189,7 +189,7 @@ class TestSolve:
         path.write_text(json.dumps(HAND_PROBLEM))
         assert run("solve", path, "--verify") == 0
 
-    def test_verification_failure_exits_three(self, tmp_path, monkeypatch):
+    def test_verification_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "prob.json"
         path.write_text(json.dumps(HAND_PROBLEM))
         real = kl_solver.oracle_solve
@@ -204,6 +204,13 @@ class TestSolve:
 
         monkeypatch.setattr(kl_solver, "oracle_solve", skewed)
         assert run("solve", path, "--verify") == 3
+        out, err = capsys.readouterr()
+        solution = kl_solver.solve(kl_solver.problem_from_json(path.read_text()))
+        assert out == kl_solver.solution_to_json(solution) + "\n"
+        number = r"\d\.\d{3}e[+-]\d{2}"
+        assert re.fullmatch(
+            rf"verify: oracle gap ({number})  kkt residual ({number})\n"
+            rf"error: solver disagrees with oracle \(gap \1, residual \2\)\n", err)
 
     def test_p_equals_r_returns_r(self, tmp_path, capsys):
         path = tmp_path / "prob.json"
