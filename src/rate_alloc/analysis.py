@@ -144,7 +144,7 @@ def sparsity_profile(coeff_blocks, threshold: float) -> SparsityProfile:
     )
 
 
-def _bounds_from_counts(per_block_k: np.ndarray, block_len: int) -> np.ndarray:
+def bounds_profile(per_block_k: np.ndarray, block_len: int) -> np.ndarray:
     """Read-only per-block bounds, 0 iff k = 0, from a :func:`measurement_bounds` table over k."""
     top = int(per_block_k.max(initial=0))
     table = np.array([measurement_bounds(k, block_len) for k in range(top + 1)])
@@ -173,11 +173,11 @@ class Analysis:
 
 
 def analyze(grid: BlockGrid, s_r: float, curve: CurveParams = DEFAULT_CURVE) -> Analysis:
-    """The pipeline in order: DCT, target ratio, threshold, sparsity, bounds."""
+    """The pipeline in order: target ratio, DCT, threshold, sparsity, bounds."""
     if not (0 < s_r <= 1):
         raise ValueError("sampling rate must lie in (0, 1]")
+    target_ps = target_sparsity_ratio(s_r, curve)  # rejects a bad rate or curve before the DCT
     coeffs = dct2_blocks(grid.blocks)
-    target_ps = target_sparsity_ratio(s_r, curve)
     sparsity = sparsity_profile(coeffs, solve_threshold(coeffs, target_ps))
-    bounds = _bounds_from_counts(sparsity.per_block_k, grid.block_size * grid.block_size)
+    bounds = bounds_profile(sparsity.per_block_k, grid.block_size * grid.block_size)
     return Analysis(grid, s_r, target_ps, sparsity, bounds)

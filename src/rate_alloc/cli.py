@@ -30,10 +30,6 @@ EXIT_VERIFY = 3
 EXIT_INFEASIBLE = 4
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 def _write_atomic(path: Path, data) -> None:
     """Write via temp file + rename so readers never see partial output.
 
@@ -75,20 +71,10 @@ def _curve(args) -> analysis.CurveParams:
     return analysis.CurveParams(a=a, b=b, s_r1=sr1, p_s1=ps1)
 
 
-def _grid(args, image: imaging.Image, stages: int) -> imaging.BlockGrid:
-    """Partition and reject a stage count that starves stage 1.
-
-    The check needs only the grid's shape, so a bad count fails before the
-    analysis and before any operator is built.
-    """
-    grid = imaging.partition(image, args.block_size)
-    multistage.check_stages(grid, args.rate, stages)
-    return grid
-
-
 def cmd_analyze(args) -> int:
-    grid = _grid(args, _load_image(args), 1)
-    result = analysis.analyze(grid, args.rate, _curve(args))
+    grid = imaging.partition(_load_image(args), args.block_size)
+    curve = _curve(args)
+    result = analysis.analyze(grid, args.rate, curve)
     profile, bounds = result.sparsity, result.bounds
     total_bounds = float(bounds.sum())
 
@@ -102,7 +88,7 @@ def cmd_analyze(args) -> int:
         "total_bounds": total_bounds,
         "grid": [grid.rows, grid.cols],
         "block_size": args.block_size,
-        "curve": dataclasses.asdict(_curve(args)),
+        "curve": dataclasses.asdict(curve),
     }
     _write_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(f"threshold {result.threshold:.10g}  sparsity ratio {profile.overall_ratio:.10g}  total bounds {total_bounds:.10g}")
@@ -123,7 +109,7 @@ def _plan_json(plan: allocation.AllocationPlan) -> str:
 
 
 def cmd_allocate(args) -> int:
-    grid = _grid(args, _load_image(args), 1)
+    grid = imaging.partition(_load_image(args), args.block_size)
     plan = allocation.adaptive_plan(analysis.analyze(grid, args.rate, _curve(args)))
     out = Path(args.out)
     _write_atomic(out / "plan.json", _plan_json(plan))
@@ -141,7 +127,8 @@ def _sense(args):
     Returns (image, analysis, operator, plan, reconstruction, PSNR in dB).
     """
     image = _load_image(args)
-    grid = _grid(args, image, args.stages)
+    grid = imaging.partition(image, args.block_size)
+    multistage.check_stages(grid, args.rate, args.stages)  # before the operator is built
     matrix = sensing.build_matrix(args.block_size, args.seed)
     result = analysis.analyze(grid, args.rate, _curve(args))
     predictor = multistage.PREDICTORS[args.predictor]()
@@ -204,9 +191,9 @@ def cmd_solve(args) -> int:
         residual = kl_solver.kkt_residual(problem, solution.q, solution.mu_star)
         print(f"verify: oracle gap {gap:.3e}  kkt residual {residual:.3e}", file=sys.stderr)
         if gap > 1e-8 or residual > 1e-8:
-            raise VerificationFailure(
-                f"solver disagrees with oracle (gap {gap:.3e}, residual {residual:.3e})"
-            )
+            print(f"error: solver disagrees with oracle (gap {gap:.3e}, residual {residual:.3e})",
+                  file=sys.stderr)
+            return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -301,9 +288,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VerificationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except kl_solver.InfeasibleProblemError as exc:
         print(f"error: infeasible problem: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

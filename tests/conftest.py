@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rate_alloc.analysis import _bounds_from_counts, sparsity_profile
+from rate_alloc.analysis import bounds_profile, sparsity_profile
 from rate_alloc.kl_solver import KlAllocProblem
 from rate_alloc.sensing import build_matrix
 
@@ -41,7 +41,7 @@ def bounds_of(coeff_blocks, threshold):
     """Per-block bounds under a threshold, by the counts-to-bounds table `analyze` uses."""
     coeffs = np.asarray(coeff_blocks, dtype=np.float64)
     k = sparsity_profile(coeffs, threshold).per_block_k
-    return _bounds_from_counts(k, coeffs.shape[-1] * coeffs.shape[-2])
+    return bounds_profile(k, coeffs.shape[-1] * coeffs.shape[-2])
 
 
 @pytest.fixture(scope="session")

@@ -387,3 +387,20 @@ class TestFailFast:
         rc = run(command, "--synthetic", "checkerboard", "--rate", 0.1, *flags, "--out", tmp_path / "out")
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "allocate", "simulate", "compare"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--rate", 0.005), "below the curve anchor"),
+        (("--rate", 0.99, "--curve", "78.77,0.5,0.01,0.005"), "out of range"),
+    ])
+    def test_bad_rate_or_curve_exits_before_dct(self, command, flags, message, tmp_path, monkeypatch, capsys):
+        from rate_alloc import imaging
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("image transformed before the rate and curve were checked")
+
+        replace_everywhere(monkeypatch, imaging, "dct2_blocks", forbidden)
+        rc = run(command, "--synthetic", "checkerboard", *flags, "--out", tmp_path / "out")
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

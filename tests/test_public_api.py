@@ -11,6 +11,7 @@ every `module.name` README names in code must exist.
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -93,3 +94,24 @@ def test_readme_library_block_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S)
     assert block, "README's Library use section has no python block"
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_benchmark_layer_timings_name_functions():
+    # the tracer times a public function under its own name, so a metric
+    # `<layer>.<fn>_s[.<tag>]` whose function is gone or private reads 0
+    layers = ("imaging", "analysis", "allocation", "kl_solver", "multistage", "sensing")
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    timed = []
+    for metric in per_layer:
+        match = re.fullmatch(rf"({'|'.join(layers)})\.(\w+)_s(\.\w+)?", metric["name"])
+        if metric["unit"] == "s" and match and match.group(2) != "self":
+            timed.append((match.group(1), match.group(2)))
+    assert ("analysis", "bounds_profile") in timed and len(timed) > 10
+    missing = []
+    for layer, fn in timed:
+        owner = importlib.import_module(f"rate_alloc.{layer}")
+        if (layer, fn) == ("multistage", "predict"):
+            owner = owner.BoundsPredictor
+        if not callable(getattr(owner, fn, None)):
+            missing.append(f"{layer}.{fn}")
+    assert missing == [], f"benchmark layer timings name no public function: {missing}"
