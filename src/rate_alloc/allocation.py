@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import Analysis, analyze
-from .imaging import BlockGrid, Image, partition
+from .imaging import BlockGrid, Image, _frozen, partition
 
 
 def round_half_up(x: float) -> int:
@@ -39,13 +39,14 @@ class AllocationPlan:
 
     def __post_init__(self):
         m = np.asarray(self.per_block_M, dtype=np.int64)
+        if m.shape != (self.grid_rows * self.grid_cols,):
+            raise ValueError(f"counts of shape {m.shape} do not fit a {self.grid_rows}x{self.grid_cols} grid")
         if int(m.sum()) != self.total_budget:
             raise ValueError("per-block counts do not sum to the budget")
         cap = self.block_size * self.block_size
         if (m < 0).any() or (m > cap).any():
             raise ValueError("per-block counts must lie in [0, B^2]")
-        m.setflags(write=False)
-        object.__setattr__(self, "per_block_M", m)
+        object.__setattr__(self, "per_block_M", _frozen(m, np.int64))
 
     @property
     def padded_pixel_count(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import BlockGrid, _chunks, dct2_blocks
+from .imaging import BlockGrid, _chunks, _frozen, dct2_blocks
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,7 @@ class SparsityProfile:
     per_block_k: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.per_block_k, dtype=np.int64)
-        k.setflags(write=False)
-        object.__setattr__(self, "per_block_k", k)
+        object.__setattr__(self, "per_block_k", _frozen(self.per_block_k, np.int64))
 
 
 def target_sparsity_ratio(s_r: float, params: CurveParams = DEFAULT_CURVE) -> float:
@@ -148,9 +146,7 @@ def bounds_profile(per_block_k: np.ndarray, block_len: int) -> np.ndarray:
     """Read-only per-block bounds, 0 iff k = 0, from a :func:`measurement_bounds` table over k."""
     top = int(per_block_k.max(initial=0))
     table = np.array([measurement_bounds(k, block_len) for k in range(top + 1)])
-    bounds = table[per_block_k]
-    bounds.setflags(write=False)
-    return bounds
+    return _frozen(table[per_block_k])
 
 
 @dataclass(frozen=True)

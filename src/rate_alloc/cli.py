@@ -128,9 +128,12 @@ def _sense(args):
     """
     image = _load_image(args)
     grid = imaging.partition(image, args.block_size)
-    multistage.check_stages(grid, args.rate, args.stages)  # before the operator is built
+    # the cheap checks of the stage count, rate and curve, before the operator is built
+    multistage.check_stages(grid, args.rate, args.stages)
+    curve = _curve(args)
+    analysis.target_sparsity_ratio(args.rate, curve)
     matrix = sensing.build_matrix(args.block_size, args.seed)
-    result = analysis.analyze(grid, args.rate, _curve(args))
+    result = analysis.analyze(grid, args.rate, curve)
     predictor = multistage.PREDICTORS[args.predictor]()
     plan = multistage.simulate(result, args.stages, predictor, matrix)
     recon = sensing.reconstruct_plan(plan, plan.records, matrix, image.height, image.width)
@@ -138,14 +141,15 @@ def _sense(args):
 
 
 def cmd_simulate(args) -> int:
-    _, _, _, plan, recon, quality = _sense(args)
+    _, result, _, plan, recon, quality = _sense(args)
+    grid = result.grid
 
     out = Path(args.out)
     stage_docs = []
-    for state in plan.stages:
+    for t, state in enumerate(plan.stages, start=1):
         stage_docs.append(
             {
-                "stage": state.stage_index,
+                "stage": t,
                 "rate": state.stage_rate,
                 "budget": state.budget,
                 "alpha": state.alpha,
@@ -158,17 +162,17 @@ def cmd_simulate(args) -> int:
             }
         )
         _write_atomic(
-            out / f"stage_{state.stage_index:02d}.csv",
-            _heatmap_csv(state.cumulative_M, plan.grid_rows, plan.grid_cols, "%d"),
+            out / f"stage_{t:02d}.csv",
+            _heatmap_csv(state.cumulative_M, grid.rows, grid.cols, "%d"),
         )
     report = {
-        "block_size": plan.block_size,
-        "grid": [plan.grid_rows, plan.grid_cols],
-        "rate": plan.target_rate,
+        "block_size": grid.block_size,
+        "grid": [grid.rows, grid.cols],
+        "rate": result.rate,
         "stages": len(plan.stages),
         "seed": args.seed,
         "predictor": args.predictor,
-        "threshold": plan.threshold,
+        "threshold": result.threshold,
         "total_measurements": plan.total_measurements,
         "final_m": plan.final_M.tolist(),
         "psnr_db": None if math.isinf(quality) else quality,

@@ -33,8 +33,8 @@ class TruncatedPayloadError(PgmError):
     pass
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.float64)
+def _frozen(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .allocation import apportion, round_half_up
 from .analysis import Analysis, analyze
-from .imaging import BlockGrid, Image, partition
+from .imaging import BlockGrid, Image, _frozen, partition
 from .kl_solver import KlAllocProblem, KlAllocSolution, solve
 from .sensing import MeasurementMatrix, Measurements, sample_rows
 
@@ -125,13 +125,11 @@ def kl_diagnostic(true_m, predicted_m):
 
 @dataclass(frozen=True)
 class StageState:
-    """Everything decided at one sampling stage."""
+    """Everything decided at one sampling stage; stage t is `plan.stages[t - 1]`."""
 
-    stage_index: int
     stage_rate: float
     budget: int
     alpha: float
-    beta: float
     stage_M: np.ndarray
     cumulative_M: np.ndarray
     predicted_bounds: Optional[np.ndarray]
@@ -142,24 +140,23 @@ class StageState:
     def __post_init__(self):
         for name, dtype in (("stage_M", np.int64), ("cumulative_M", np.int64),
                             ("predicted_bounds", np.float64)):
-            if getattr(self, name) is None:
-                continue
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
+    @property
+    def beta(self) -> float:
+        return 1.0 - self.alpha
 
 
 @dataclass(frozen=True)
 class MultiStagePlan:
-    """Outcome of an N-stage run: per-stage states plus final bookkeeping."""
+    """Outcome of an N-stage run: per-stage states, the records and the grid's shape (not its pixels)."""
 
     block_size: int
     grid_rows: int
     grid_cols: int
-    target_rate: float
     stages: tuple  # of StageState
     records: Measurements
-    threshold: float
 
     @property
     def final_M(self) -> np.ndarray:
@@ -203,8 +200,7 @@ def simulate(
     grid, s_r = analysis.grid, analysis.rate
     check_stages(grid, s_r, stages)
     n = grid.block_count
-    block_size = grid.block_size
-    dim = block_size * block_size
+    dim = grid.block_size * grid.block_size
     pixels = grid.padded_pixel_count
     if matrix.dim != dim:
         raise ValueError("operator size does not match the block size")
@@ -223,17 +219,16 @@ def simulate(
         predicted = problem = solution = diagnostic = None
         if t == 1:
             # uniform: per-block baseline floor(s_r^1 * B^2), topped up by apportionment
-            shares, alpha, beta = np.full(n, budget / n), 1.0, 0.0
+            shares, alpha = np.full(n, budget / n), 1.0
         elif budget == 0:
             # budget already spent (rounding overshoot): zero-measurement stage
-            shares, alpha, beta = np.zeros(n), 0.0, 1.0
+            shares, alpha = np.zeros(n), 0.0
         else:
             predicted = np.asarray(predictor.predict(values, cumulative, true_bounds),
                                    dtype=np.float64)
             if true_bounds.sum() > 0:
                 diagnostic = kl_diagnostic(true_bounds, predicted)
             alpha = min(max(rate / (t * s_r / stages), 0.0), 1.0)
-            beta = 1.0 - alpha
             # caps a_i: block i can absorb dim - cumulative_i more of the stage's rate * pixels,
             # so sum(a) = (pixels - allocated) / (rate * pixels); the catch-up rate is at
             # most 1 - allocated / pixels while the target rate is <= 1, so sum(a) >= 1
@@ -253,11 +248,9 @@ def simulate(
             values[:, reached:top] = sample_rows(matrix, reached + 1, top, blocks)
         stage_states.append(
             StageState(
-                stage_index=t,
                 stage_rate=rate,
                 budget=budget,
                 alpha=alpha,
-                beta=beta,
                 stage_M=counts,
                 cumulative_M=cumulative,
                 predicted_bounds=predicted,
@@ -270,11 +263,9 @@ def simulate(
     # zero the rows computed past a block's count; columns from `top` on were never computed
     values[:, :top][np.arange(top) >= cumulative[:, None]] = 0.0
     return MultiStagePlan(
-        block_size=block_size,
+        block_size=grid.block_size,
         grid_rows=grid.rows,
         grid_cols=grid.cols,
-        target_rate=s_r,
         stages=tuple(stage_states),
         records=Measurements(values, cumulative),
-        threshold=analysis.threshold,
     )

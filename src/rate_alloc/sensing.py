@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import BlockGrid, Image, assemble
+from .imaging import BlockGrid, Image, _frozen, assemble
 
 # the build holds about five dim^2 float64 arrays: 640 MiB at B=64, 10 GiB at B=128
 _MAX_BLOCK_SIZE = 64
@@ -29,15 +29,17 @@ _MAX_BLOCK_SIZE = 64
 class MeasurementMatrix:
     """Orthonormal-row operator, reproducible from its block size and seed."""
 
-    dim: int
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(self.rows, dtype=np.float64)
-        if rows.shape != (self.dim, self.dim):
-            raise ValueError("operator must be square of side dim")
-        rows.setflags(write=False)
+        rows = _frozen(self.rows)
+        if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
+            raise ValueError(f"operator of shape {rows.shape} is not square")
         object.__setattr__(self, "rows", rows)
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,8 @@ class Measurements:
             raise ValueError(f"counts must lie in [0, {values.shape[1]}]")
         if np.any(values, where=np.arange(values.shape[1]) >= counts[:, None]):
             raise ValueError("values beyond a block's count must be zero")
-        for arr in (values, counts):
-            arr.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "values", _frozen(values))
+        object.__setattr__(self, "counts", _frozen(counts, np.int64))
 
 
 def build_matrix(block_size: int, seed: int) -> MeasurementMatrix:
@@ -96,19 +96,24 @@ def build_matrix(block_size: int, seed: int) -> MeasurementMatrix:
     if gram_err > 1e-9:
         raise RuntimeError(f"operator for seed {seed} failed its Gram check: "
                            f"error {gram_err:.3g} > 1e-9")
-    return MeasurementMatrix(dim=dim, rows=rows)
+    return MeasurementMatrix(rows)
+
+
+def _row_range(matrix: MeasurementMatrix, row_start: int, row_end: int) -> np.ndarray:
+    if not (1 <= row_start and row_start - 1 <= row_end <= matrix.dim):
+        raise ValueError(f"row range {row_start}..{row_end} out of bounds")
+    return matrix.rows[row_start - 1 : row_end]
 
 
 def sample_rows(
     matrix: MeasurementMatrix, row_start: int, row_end: int, block_vector: np.ndarray
 ) -> np.ndarray:
     """Rows row_start..row_end (1-based) applied to a (blocks, dim) batch, one row per block."""
-    if not (1 <= row_start and row_start - 1 <= row_end <= matrix.dim):
-        raise ValueError(f"row range {row_start}..{row_end} out of bounds")
+    rows = _row_range(matrix, row_start, row_end)
     x = np.asarray(block_vector, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != matrix.dim:
         raise ValueError(f"blocks of shape {x.shape} are not a (blocks, {matrix.dim}) batch")
-    return x @ matrix.rows[row_start - 1 : row_end].T
+    return x @ rows.T
 
 
 def adjoint_reconstruct(
@@ -118,12 +123,11 @@ def adjoint_reconstruct(
 
     `values` is a (blocks, rows) batch; the result holds one projection per block.
     """
-    if not (1 <= row_start and row_start - 1 <= row_end <= matrix.dim):
-        raise ValueError(f"row range {row_start}..{row_end} out of bounds")
+    rows = _row_range(matrix, row_start, row_end)
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != row_end - row_start + 1:
+    if values.ndim != 2 or values.shape[1] != len(rows):
         raise ValueError(f"values of shape {values.shape} are not a (blocks, rows) batch")
-    return values @ matrix.rows[row_start - 1 : row_end]
+    return values @ rows
 
 
 def sample_plan(grid: BlockGrid, per_block_M, matrix: MeasurementMatrix) -> Measurements:

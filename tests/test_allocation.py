@@ -176,6 +176,19 @@ class TestPlanType:
                 threshold=None,
             )
 
+    def test_count_per_block_required(self):
+        # three counts summing to the budget of a two-block grid
+        with pytest.raises(ValueError, match="do not fit a 1x2 grid"):
+            AllocationPlan(
+                block_size=2,
+                grid_rows=1,
+                grid_cols=2,
+                target_rate=0.5,
+                total_budget=3,
+                per_block_M=[1, 1, 1],
+                threshold=None,
+            )
+
     def test_cap_violation_rejected(self):
         with pytest.raises(ValueError):
             AllocationPlan(

@@ -12,7 +12,8 @@ import pytest
 
 import rate_alloc
 from rate_alloc import cli, kl_solver
-from rate_alloc.imaging import Image, encode_pgm, load_pgm
+from rate_alloc.analysis import analyze
+from rate_alloc.imaging import Image, encode_pgm, load_pgm, partition
 from rate_alloc.synthetic import synthetic_image
 
 HAND_PROBLEM = {
@@ -150,6 +151,12 @@ class TestSimulate:
         assert (out / "stage_01.csv").exists() and (out / "stage_02.csv").exists()
         recon = load_pgm(out / "reconstruction.pgm")
         assert (recon.height, recon.width) == (96, 96)
+        result = analyze(partition(synthetic_image("checkerboard"), 32), 0.1)
+        assert (report["rate"], report["threshold"], report["block_size"], report["grid"]) == (
+            result.rate, result.threshold, 32, [result.grid.rows, result.grid.cols])
+        for t, stage in enumerate(report["stage_reports"], start=1):
+            assert stage["stage"] == t
+            assert stage["beta"] == 1.0 - stage["alpha"]
 
     def test_single_stage_matches_uniform_allocation(self, tmp_path):
         out = tmp_path / "sim1"
@@ -397,9 +404,10 @@ class TestFailFast:
         from rate_alloc import imaging
 
         def forbidden(*args, **kwargs):
-            pytest.fail("image transformed before the rate and curve were checked")
+            pytest.fail("image transformed or operator drawn before the rate and curve were checked")
 
         replace_everywhere(monkeypatch, imaging, "dct2_blocks", forbidden)
+        monkeypatch.setattr(np.random, "PCG64", forbidden)
         rc = run(command, "--synthetic", "checkerboard", *flags, "--out", tmp_path / "out")
         assert rc == 2
         assert message in capsys.readouterr().err

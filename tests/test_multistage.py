@@ -7,6 +7,7 @@ import pytest
 from conftest import bounds_of
 from rate_alloc import multistage
 from rate_alloc.allocation import round_half_up, uniform_plan
+from rate_alloc.analysis import analyze
 from rate_alloc.imaging import Image, dct2_blocks, partition
 from rate_alloc.multistage import (
     BoundsPredictor,
@@ -171,8 +172,8 @@ class TestPredictors:
         # the oracle predicts the bounds of the image's own coefficients, bit for bit
         img = synthetic_image("gradient")
         plan = run_simulation(img, 32, 0.2, 2, OracleBoundsPredictor(), matrix32)
-        coeffs = dct2_blocks(partition(img, 32).blocks)
-        expected = bounds_of(coeffs, plan.threshold)
+        grid = partition(img, 32)
+        expected = bounds_of(dct2_blocks(grid.blocks), analyze(grid, 0.2).threshold)
         assert np.array_equal(plan.stages[1].predicted_bounds, expected)
 
     def test_flat_block_near_zero(self):
@@ -300,8 +301,8 @@ class TestRunSimulation:
             plan = run_simulation(img, 32, 0.3, stages, OracleBoundsPredictor(), matrix32)
             pixels = 9216
             allocated = 0
-            for state in plan.stages:
-                expected_rate = stage_rate(state.stage_index, stages, 0.3, allocated, pixels)
+            for t, state in enumerate(plan.stages, start=1):
+                expected_rate = stage_rate(t, stages, 0.3, allocated, pixels)
                 assert state.stage_rate == pytest.approx(expected_rate, abs=1e-12)
                 assert state.budget == round_half_up(state.stage_rate * pixels)
                 assert state.stage_M.sum() == state.budget
@@ -334,7 +335,7 @@ class TestRunSimulation:
             plan = run_simulation(img, 32, 0.1, 2, OracleBoundsPredictor(), matrix32)
             grid = partition(img, 32)
             coeffs = dct2_blocks(grid.blocks)
-            true_m = bounds_of(coeffs, plan.threshold)
+            true_m = bounds_of(coeffs, analyze(grid, 0.1).threshold)
             uniform = uniform_plan(img, 32, 0.1).per_block_M
             _, kl_adaptive = kl_diagnostic(true_m, plan.final_M.astype(float))
             _, kl_uniform = kl_diagnostic(true_m, uniform.astype(float))

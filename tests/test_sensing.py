@@ -81,6 +81,12 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             matrix8.rows[0, 0] = 0.0
 
+    def test_operator_is_square(self, matrix8):
+        assert matrix8.dim == 64 == matrix8.rows.shape[1]
+        for rows in (np.zeros((2, 3)), np.zeros(4)):
+            with pytest.raises(ValueError, match="not square"):
+                sensing.MeasurementMatrix(rows)
+
 
 class TestSampleRows:
     def test_zero_block(self, matrix8):
