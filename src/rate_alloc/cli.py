@@ -122,9 +122,9 @@ def cmd_allocate(args) -> int:
 
 
 def _sense(args):
-    """Build the operator, analyze the image once, run the multi-stage plan, reconstruct and score it.
+    """Build the operator, analyze the image once and run the multi-stage plan.
 
-    Returns (image, analysis, operator, plan, reconstruction, PSNR in dB).
+    Returns (image, analysis, operator, plan).
     """
     image = _load_image(args)
     grid = imaging.partition(image, args.block_size)
@@ -135,14 +135,14 @@ def _sense(args):
     matrix = sensing.build_matrix(args.block_size, args.seed)
     result = analysis.analyze(grid, args.rate, curve)
     predictor = multistage.PREDICTORS[args.predictor]()
-    plan = multistage.simulate(result, args.stages, predictor, matrix)
-    recon = sensing.reconstruct_plan(plan, plan.records, matrix, image.height, image.width)
-    return image, result, matrix, plan, recon, sensing.psnr(image, recon)
+    return image, result, matrix, multistage.simulate(result, args.stages, predictor, matrix)
 
 
 def cmd_simulate(args) -> int:
-    _, result, _, plan, recon, quality = _sense(args)
+    image, result, matrix, plan = _sense(args)
     grid = result.grid
+    recon = sensing.reconstruct_plan(plan, plan.records, matrix, image.height, image.width)
+    quality = sensing.psnr(image, recon)
 
     out = Path(args.out)
     stage_docs = []
@@ -202,34 +202,34 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    image, result, matrix, multi, recon, multi_quality = _sense(args)
-    del recon  # scored; holding it would add an image to the peak of the rows below
+    image, result, matrix, multi = _sense(args)
     grid = result.grid
-    uniform = allocation.plan_from_bounds(grid, np.zeros(grid.block_count), args.rate, None)
-    adaptive = allocation.adaptive_plan(result)
-    true_bounds = result.bounds
 
-    def sample(plan):
-        measurements = sensing.sample_plan(grid, plan.per_block_M, matrix)
+    def score(plan, measurements):
+        # single-pass rows are sampled here, so no two rows' samples or reconstructions are alive at once
+        if measurements is None:
+            measurements = sensing.sample_plan(grid, plan.per_block_M, matrix)
         recon = sensing.reconstruct_plan(plan, measurements, matrix, image.height, image.width)
-        return sensing.psnr(image, recon)
+        return measurements.counts, sensing.psnr(image, recon)
 
     rows = [
-        ("uniform", uniform.total_budget, sample(uniform), uniform.per_block_M),
-        ("single-stage", adaptive.total_budget, sample(adaptive), adaptive.per_block_M),
-        (f"multi-{args.stages}", multi.total_measurements, multi_quality, multi.final_M),
+        ("uniform", allocation.plan_from_bounds(grid, np.zeros(grid.block_count), args.rate, None), None),
+        ("single-stage", allocation.adaptive_plan(result), None),
+        (f"multi-{args.stages}", multi, multi.records),
     ]
     print(f"{'allocation':<14}{'budget':>8}  {'psnr_db':>10}  {'kl_to_bounds':>12}")
     report = []
-    for name, budget, quality, counts in rows:
-        kl = (multistage.kl_diagnostic(true_bounds, counts.astype(np.float64))[1]
-              if true_bounds.sum() > 0 else 0.0)
+    for name, plan, measurements in rows:
+        counts, quality = score(plan, measurements)
+        budget = int(counts.sum())
+        kl = (multistage.kl_diagnostic(result.bounds, counts.astype(np.float64))[1]
+              if result.bounds.sum() > 0 else 0.0)
         quality_text = "identical" if math.isinf(quality) else f"{quality:.4f}"
         print(f"{name:<14}{budget:>8}  {quality_text:>10}  {kl:>12.6f}")
         report.append(
             {
                 "allocation": name,
-                "budget": int(budget),
+                "budget": budget,
                 "psnr_db": None if math.isinf(quality) else quality,
                 "kl_to_bounds": kl,
             }

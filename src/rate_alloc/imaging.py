@@ -111,10 +111,20 @@ class BlockGrid:
         return self.block_count * self.block_size * self.block_size
 
 
+MAX_BLOCK_SIZE = 1024  # checked before allocating: a 3x3-block synthetic image takes 72 MiB
+
+
+def _check_block_size(block_size: int) -> None:
+    """Reject a block size above MAX_BLOCK_SIZE."""
+    if block_size > MAX_BLOCK_SIZE:
+        raise ValueError(f"block size {block_size} is above the limit of {MAX_BLOCK_SIZE}")
+
+
 def partition(image: Image, block_size: int) -> BlockGrid:
     """Split an image into B x B blocks, zero-padding the bottom/right edges."""
     if block_size < 2:
         raise ValueError("block size must be at least 2")
+    _check_block_size(block_size)
     h, w = image.height, image.width
     rows = -(-h // block_size)
     cols = -(-w // block_size)

@@ -13,9 +13,10 @@ multiplier mu:
     q_i(mu) = clamp(mu * p_i - beta * r_i / alpha, 0, a_i)
 
 and the root of Q(mu) = sum_i q_i(mu) = 1 pins mu.  Q is piecewise linear
-and non-decreasing, so Newton's method lands on the exact root as soon as
-an iterate shares its linear segment with the root; when a Newton step
-degenerates or escapes the known bracket it is replaced by bisection.
+and non-decreasing, so Newton's method lands on the exact root, a fixed
+point of the Newton map where the solver stops, as soon as an iterate
+shares its linear segment with the root; a Newton step that degenerates
+or escapes the known bracket is replaced by bisection.
 The bracket updates are justified by the step direction itself: an
 increasing step means the current point lies below the root, a decreasing
 step means it lies above (and this holds in both directions).
@@ -40,9 +41,6 @@ BISECTION = "bisection"
 STATUS_NEWTON = "converged-by-newton"
 STATUS_BISECTION = "converged-with-bisection"
 
-# classification codes for the three clamp states of a coordinate
-_LOWER, _CENTER, _UPPER = 0, 1, 2
-
 
 class InfeasibleProblemError(Exception):
     """The caps cannot absorb the unit budget: sum of a_i over p_i > 0 is < 1."""
@@ -53,7 +51,8 @@ class SolverInternalError(RuntimeError):
 
 
 def _as_ratio(vec, name: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64).reshape(-1)
+    # a copy, so a later write to the caller's array cannot reach the problem
+    v = np.array(vec, dtype=np.float64).reshape(-1)
     if v.size == 0 or not np.isfinite(v).all():
         raise ValueError(f"{name} must be a non-empty finite vector")
     total = v.sum()
@@ -83,14 +82,13 @@ class KlAllocProblem:
             raise ValueError("p entries must be nonnegative")
         if (r <= 0).any():
             raise ValueError("r entries must be strictly positive")
-        a = np.asarray(self.a, dtype=np.float64).reshape(-1)
+        a = np.array(self.a, dtype=np.float64).reshape(-1)
         if (a < 0).any() or not np.isfinite(a).all():
             raise ValueError("caps must be finite and nonnegative")
         if not (p.size == r.size == a.size):
             raise ValueError("p, r, a must share one length")
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
-        a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
@@ -144,29 +142,28 @@ def q_total(problem: KlAllocProblem, mu: float) -> float:
     return float(q_of_mu(problem, mu).sum())
 
 
-def _codes(problem: KlAllocProblem, mu: float) -> np.ndarray:
-    """Clamp-state code per coordinate; boundary values go to lower/upper."""
+def _segments(problem: KlAllocProblem, mu: float):
+    """Masks of the center (0 < mu*p - offset < a) and upper (positive, >= a) coordinates.
+
+    Every other coordinate is lower-clamped, boundary values included.
+    """
     raw = mu * problem.p - problem.offsets
-    codes = np.full(problem.size, _CENTER, dtype=np.int8)
-    codes[raw <= 0.0] = _LOWER
-    codes[(raw > 0.0) & (raw >= problem.a)] = _UPPER
-    return codes
+    positive = raw > 0.0
+    return positive & (raw < problem.a), positive & (raw >= problem.a)
 
 
-def _newton_from_codes(problem: KlAllocProblem, codes: np.ndarray):
-    """The linear-segment root implied by a clamp classification, or None.
+def _newton(problem: KlAllocProblem, mu: float):
+    """The root of the linear segment Q takes at mu, or None.
 
     Within one segment Q(mu) = mu * P - O + A with P the center weight,
     O the center offsets, and A the capped mass, so Q = 1 is solved by
     mu = (1 + O - A) / P.  A nonpositive numerator or zero denominator
     means the segment's line never reaches 1: a degenerate step.
     """
-    center = codes == _CENTER
+    center, upper = _segments(problem, mu)
     denom = problem.p[center].sum()
-    if denom <= 0.0:
-        return None
-    numer = 1.0 + problem.offsets[center].sum() - problem.a[codes == _UPPER].sum()
-    if numer <= 0.0:
+    numer = 1.0 + problem.offsets[center].sum() - problem.a[upper].sum()
+    if denom <= 0.0 or numer <= 0.0:
         return None
     return float(numer / denom)
 
@@ -177,14 +174,18 @@ def _upper_bracket(problem: KlAllocProblem) -> float:
     return float(((problem.a[pos] + problem.offsets[pos]) / problem.p[pos]).max())
 
 
+def _solution(problem: KlAllocProblem, mu: float, trace: list, status: str) -> KlAllocSolution:
+    return KlAllocSolution(q=q_of_mu(problem, mu), mu_star=float(mu), trace=tuple(trace), status=status)
+
+
 def solve(problem: KlAllocProblem) -> KlAllocSolution:
     """Find q and the multiplier root via Newton with a bisection fallback.
 
-    Terminates the moment two consecutive Newton points share identical
-    clamp classifications: the latter is then the exact root of its own
-    linear segment.  Every iterate also tightens a [lo, hi] bracket; a
-    degenerate Newton step, or one escaping the bracket, is replaced by
-    the bracket midpoint.
+    Every iterate tightens a [lo, hi] bracket; a degenerate Newton step, or
+    one escaping the bracket, is replaced by the bracket midpoint.  Stops at
+    a fixed point of the Newton map (converged-by-newton if no bisection
+    step was taken), on a flat segment where Q(mu) is exactly 1, or when
+    the bracket is exhausted at float resolution.
     """
     hi0 = _upper_bracket(problem)
     lo, hi = 0.0, hi0
@@ -195,30 +196,21 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
         mu = min(max(problem.beta / problem.alpha, lo + eps), hi - eps)
 
     trace = []
-    used_bisection = False
-    mu_star = None
-    by_newton = False
     cap = 10 * problem.size + 100
-
-    codes = _codes(problem, mu)
     for _ in range(cap):
-        candidate = _newton_from_codes(problem, codes)
+        candidate = _newton(problem, mu)
         if candidate is not None:
             if candidate == mu:
                 # fixed point: mu already solves its own segment's line
-                mu_star, by_newton = mu, True
-                break
+                bisected = any(kind == BISECTION for _, kind in trace)
+                return _solution(problem, mu, trace, STATUS_BISECTION if bisected else STATUS_NEWTON)
             if candidate > mu:
                 lo = max(lo, mu)
             else:
                 hi = min(hi, mu)
             if lo < candidate < hi:
                 trace.append((candidate, NEWTON))
-                next_codes = _codes(problem, candidate)
-                if np.array_equal(next_codes, codes):
-                    mu_star, by_newton = candidate, True
-                    break
-                mu, codes = candidate, next_codes
+                mu = candidate
                 continue
         else:
             total = q_total(problem, mu)
@@ -228,27 +220,14 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
                 hi = min(hi, mu)
             else:
                 # flat segment sitting exactly on Q = 1
-                mu_star = mu
-                break
-        used_bisection = True
+                return _solution(problem, mu, trace, STATUS_BISECTION)
         mid = 0.5 * (lo + hi)
         trace.append((mid, BISECTION))
         if not (lo < mid < hi):
             # bracket exhausted at float resolution: mid is the root's kink
-            mu_star = mid
-            break
+            return _solution(problem, mid, trace, STATUS_BISECTION)
         mu = mid
-        codes = _codes(problem, mu)
-    if mu_star is None:
-        raise SolverInternalError(f"no convergence within {cap} iterations")
-
-    status = STATUS_NEWTON if by_newton and not used_bisection else STATUS_BISECTION
-    return KlAllocSolution(
-        q=q_of_mu(problem, mu_star),
-        mu_star=float(mu_star),
-        trace=tuple(trace),
-        status=status,
-    )
+    raise SolverInternalError(f"no convergence within {cap} iterations")
 
 
 def oracle_solve(problem: KlAllocProblem) -> KlAllocSolution:
@@ -262,13 +241,7 @@ def oracle_solve(problem: KlAllocProblem) -> KlAllocSolution:
             lo = mid
         else:
             hi = mid
-    mu = 0.5 * (lo + hi)
-    return KlAllocSolution(
-        q=q_of_mu(problem, mu),
-        mu_star=float(mu),
-        trace=tuple(trace),
-        status=STATUS_BISECTION,
-    )
+    return _solution(problem, 0.5 * (lo + hi), trace, STATUS_BISECTION)
 
 
 def kkt_residual(problem: KlAllocProblem, q: np.ndarray, mu_star: float) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imaging import Image
+from .imaging import Image, _check_block_size
 
 KINDS = ("flat", "checkerboard", "gradient")
 
@@ -16,6 +16,7 @@ def synthetic_image(kind: str, block_size: int = 32) -> Image:
     which alternates 0/1 per pixel (a dense-spectrum block among nearly
     empty ones).  gradient: horizontal ramp from 0 to 1.
     """
+    _check_block_size(block_size)
     side = 3 * block_size
     if kind == "flat":
         pixels = np.full((side, side), 0.5)

@@ -17,8 +17,7 @@ from rate_alloc.imaging import Image, dct2_blocks, dct_matrix, partition
 from rate_alloc.kl_solver import (
     KlAllocProblem,
     STATUS_NEWTON,
-    _codes,
-    _newton_from_codes,
+    _newton,
     kkt_residual,
     oracle_solve,
     q_total,
@@ -100,7 +99,7 @@ def test_c03_lemma_one_direction():
             if pairs >= 10000:
                 break
             mu = float(rng.uniform(1e-9, hi))
-            step = _newton_from_codes(prob, _codes(prob, mu))
+            step = _newton(prob, mu)
             pairs += 1
             if step is None:
                 degenerate += 1

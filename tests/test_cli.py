@@ -395,6 +395,24 @@ class TestFailFast:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, source", [
+        ("analyze", ("--synthetic", "flat")),
+        ("allocate", ("--image", "small.pgm")),
+    ])
+    def test_block_size_limit_exits_before_allocating(self, command, source, tmp_path, monkeypatch, capsys):
+        from rate_alloc import imaging
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("image transformed before the block size was checked")
+
+        replace_everywhere(monkeypatch, imaging, "dct2_blocks", forbidden)
+        (tmp_path / "small.pgm").write_bytes(encode_pgm(Image(np.full((4, 3), 0.5))))
+        monkeypatch.chdir(tmp_path)
+        rc = run(command, *source, "--rate", 0.1, "--block-size", 1025, "--out", tmp_path / "out")
+        assert rc == 2
+        assert "block size 1025 is above the limit of 1024" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["analyze", "allocate", "simulate", "compare"])
     @pytest.mark.parametrize("flags, message", [
         (("--rate", 0.005), "below the curve anchor"),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -13,11 +14,8 @@ from rate_alloc.kl_solver import (
     KlAllocProblem,
     STATUS_BISECTION,
     STATUS_NEWTON,
-    _CENTER,
-    _LOWER,
-    _UPPER,
-    _codes,
-    _newton_from_codes,
+    _newton,
+    _segments,
     kkt_residual,
     oracle_solve,
     problem_from_json,
@@ -39,16 +37,16 @@ class SegmentSets:
 
 def _q_slope(problem: KlAllocProblem, mu: float) -> float:
     """Q'(mu): the summed target weight of the un-clamped coordinates."""
-    return float(problem.p[_codes(problem, mu) == _CENTER].sum())
+    return float(problem.p[_segments(problem, mu)[0]].sum())
 
 
 def _segment_sets(problem: KlAllocProblem, mu: float) -> SegmentSets:
     """Partition coordinates into lower-clamped / interior / capped at mu."""
-    codes = _codes(problem, mu)
+    center, upper = _segments(problem, mu)
     return SegmentSets(
-        lower=frozenset(np.flatnonzero(codes == _LOWER).tolist()),
-        center=frozenset(np.flatnonzero(codes == _CENTER).tolist()),
-        upper=frozenset(np.flatnonzero(codes == _UPPER).tolist()),
+        lower=frozenset(np.flatnonzero(~(center | upper)).tolist()),
+        center=frozenset(np.flatnonzero(center).tolist()),
+        upper=frozenset(np.flatnonzero(upper).tolist()),
     )
 
 
@@ -60,11 +58,6 @@ def objective(problem: KlAllocProblem, q: np.ndarray) -> float:
     if (mix[pos] <= 0).any():
         raise ValueError("nonpositive mixture under a positive target weight")
     return float(-(problem.p[pos] * np.log(mix[pos])).sum())
-
-
-def newton(problem: KlAllocProblem, mu: float):
-    """The Newton update `solve` takes from mu; None signals a degenerate step."""
-    return _newton_from_codes(problem, _codes(problem, mu))
 
 
 def hand_problem():
@@ -165,20 +158,20 @@ class TestSegmentSets:
 
 class TestNewtonStep:
     def test_first_step_from_one(self):
-        assert newton(hand_problem(), 1.0) == pytest.approx(20 / 9, abs=1e-15)
+        assert _newton(hand_problem(), 1.0) == pytest.approx(20 / 9, abs=1e-15)
 
     def test_second_step(self):
-        assert newton(hand_problem(), 20 / 9) == pytest.approx(25 / 9, abs=1e-14)
+        assert _newton(hand_problem(), 20 / 9) == pytest.approx(25 / 9, abs=1e-14)
 
     def test_fixed_point_at_root(self):
         prob = hand_problem()
         root = solve(prob).mu_star
-        assert newton(prob, root) == pytest.approx(root, abs=1e-14)
+        assert _newton(prob, root) == pytest.approx(root, abs=1e-14)
 
     def test_degenerate_step_signal(self):
         prob = hand_problem()
         # at tiny mu every coordinate sits at the lower clamp: no slope
-        assert newton(prob, 1e-12) is None
+        assert _newton(prob, 1e-12) is None
 
 
 class TestSolve:
@@ -229,7 +222,21 @@ class TestSolve:
             if sol.status == STATUS_NEWTON:
                 seen += 1
                 assert abs(q_total(prob, sol.mu_star) - 1.0) <= 1e-12
+                assert _newton(prob, sol.mu_star) == sol.mu_star
+                assert all(kind == "newton" for _, kind in sol.trace)
         assert seen > 50  # the pure-Newton path must be common
+
+    def test_control_flow_pinned(self):
+        # statuses and step kinds of a fixed corpus, 73 of whose solves take a
+        # bisection step; the digest is that of the earlier clamp-code loop's runs
+        rng = np.random.default_rng(35)
+        flow = []
+        for _ in range(400):
+            sol = solve(random_problem(rng))
+            flow.append([sol.status, [kind for _, kind in sol.trace]])
+        assert sum("bisection" in kinds for _, kinds in flow) == 73
+        digest = hashlib.sha256(json.dumps(flow).encode()).hexdigest()
+        assert digest == "b57e4559988dacf8f81090692294ba8bf0f66cc8da718e4ba6de11c5dc67791e"
 
     def test_flat_segment_root_matches_oracle(self):
         # caps sum to exactly 1: Q plateaus at 1, any mu on the plateau works
@@ -238,6 +245,16 @@ class TestSolve:
         ref = oracle_solve(prob)
         assert np.abs(sol.q - ref.q).max() <= 1e-8
         assert abs(sol.q.sum() - 1.0) <= 1e-10
+
+    def test_arrays_copied_from_caller(self):
+        p, r, a = np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.ones(2)
+        prob = KlAllocProblem(p=p, r=r, alpha=0.5, a=a)
+        offsets = prob.offsets.copy()
+        p[0], r[0], a[0] = 0.9, 0.9, 0.9
+        assert prob.p.tolist() == [0.5, 0.5]
+        assert prob.r.tolist() == [0.25, 0.75]
+        assert prob.a.tolist() == [1.0, 1.0]
+        assert np.array_equal(prob.offsets, offsets)
 
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleProblemError):
@@ -340,7 +357,7 @@ class TestLemmaOneProperty:
             hi = float(((prob.a[pos] + prob.beta * prob.r[pos] / prob.alpha) / prob.p[pos]).max())
             for _ in range(10):
                 mu = float(rng.uniform(1e-9, hi))
-                step = newton(prob, mu)
+                step = _newton(prob, mu)
                 pairs += 1
                 if step is None:
                     degenerate += 1
@@ -358,7 +375,7 @@ class TestLemmaOneProperty:
         # a point sharing the root's segment maps straight onto the root
         for mu in (2.5, 2.7, 2.9):
             if _segment_sets(prob, mu) == root_sets:
-                assert newton(prob, mu) == pytest.approx(root, abs=1e-13)
+                assert _newton(prob, mu) == pytest.approx(root, abs=1e-13)
 
     def test_degenerate_rate_near_initialization(self):
         rng = np.random.default_rng(31)
@@ -373,7 +390,7 @@ class TestLemmaOneProperty:
                 if mu <= 0:
                     continue
                 sampled += 1
-                if newton(prob, mu) is None:
+                if _newton(prob, mu) is None:
                     degenerate += 1
         assert sampled > 1000
         assert degenerate / sampled < 0.01
