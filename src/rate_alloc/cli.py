@@ -56,6 +56,9 @@ def _heatmap_csv(values, rows: int, cols: int, fmt: str) -> str:
 
 
 def _load_image(args) -> imaging.Image:
+    # before a synthetic image is built from it, or a file is read for it
+    if args.block_size < 2:
+        raise ValueError(f"--block-size {args.block_size} must be at least 2")
     if args.synthetic is not None:
         return synthetic_image(args.synthetic, args.block_size)
     return imaging.load_pgm(args.image)

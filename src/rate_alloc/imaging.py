@@ -120,36 +120,58 @@ def _check_block_size(block_size: int) -> None:
         raise ValueError(f"block size {block_size} is above the limit of {MAX_BLOCK_SIZE}")
 
 
+def _spans(size: int, b: int) -> list:
+    """Split `size` pixels along one axis into the whole blocks and the partial last one.
+
+    Each span pairs an index into a (blocks, B) axis pair, (block, offset in
+    block), with the pixel slice it covers.
+    """
+    whole, rest = divmod(size, b)
+    spans = [((slice(0, whole), slice(None)), slice(0, whole * b))]
+    if rest:
+        spans.append(((whole, slice(0, rest)), slice(whole * b, size)))
+    return spans
+
+
 def partition(image: Image, block_size: int) -> BlockGrid:
     """Split an image into B x B blocks, zero-padding the bottom/right edges."""
     if block_size < 2:
         raise ValueError("block size must be at least 2")
     _check_block_size(block_size)
+    b = block_size
     h, w = image.height, image.width
-    rows = -(-h // block_size)
-    cols = -(-w // block_size)
-    pad_bottom = rows * block_size - h
-    pad_right = cols * block_size - w
-    padded = image.pixels
-    if pad_bottom or pad_right:
-        padded = np.pad(padded, ((0, pad_bottom), (0, pad_right)))
-    # the last reshape copies the swapped view: the one block-order copy
-    blocks = (
-        padded.reshape(rows, block_size, cols, block_size)
-        .swapaxes(1, 2)
-        .reshape(rows * cols, block_size, block_size)
-    )
-    return BlockGrid(block_size, rows, cols, pad_bottom, pad_right, blocks)
+    rows, cols = -(-h // b), -(-w // b)
+    # one copy into block order; only a padded grid needs the zeros
+    blocks = (np.zeros if rows * b > h or cols * b > w else np.empty)((rows * cols, b, b))
+    by_row = blocks.reshape(rows, cols, b, b).swapaxes(1, 2)  # (rows, B, cols, B) view
+    for (row, dy), ys in _spans(h, b):
+        for (col, dx), xs in _spans(w, b):
+            part = by_row[row, dy, col, dx]
+            part[...] = image.pixels[ys, xs].reshape(part.shape)
+    return BlockGrid(b, rows, cols, rows * b - h, cols * b - w, blocks)
+
+
+def _stitch(block_rows, b: int, height: int, width: int) -> Image:
+    """Clamp rows of blocks to [0, 1] straight into one height x width image.
+
+    `block_rows` yields each (cols, B, B) row of the grid, top to bottom;
+    the grid's padding is cropped as each row is written.
+    """
+    out = np.empty((height, width))
+    for top, row in zip(range(0, height, b), block_rows):
+        strip = out[top : top + b]
+        by_row = row.swapaxes(0, 1)[: len(strip)]  # (pixel rows, cols, B) view
+        for (col, dx), xs in _spans(width, b):
+            part = by_row[:, col, dx]
+            np.clip(part, 0.0, 1.0, out=strip[:, xs].reshape(part.shape))
+    return Image(out)
 
 
 def assemble(grid: BlockGrid) -> Image:
     """Inverse of :func:`partition`: stitch blocks, crop the grid's padding, clamp to [0, 1]."""
     b = grid.block_size
-    # one clamped copy from block order straight into row order
-    padded = np.empty((grid.rows, b, grid.cols, b))
-    np.clip(grid.blocks.reshape(grid.rows, grid.cols, b, b).swapaxes(1, 2), 0.0, 1.0, out=padded)
-    padded = padded.reshape(grid.padded_height, grid.padded_width)
-    return Image(padded[: grid.padded_height - grid.pad_bottom, : grid.padded_width - grid.pad_right])
+    return _stitch(grid.blocks.reshape(grid.rows, grid.cols, b, b), b,
+                   grid.padded_height - grid.pad_bottom, grid.padded_width - grid.pad_right)
 
 
 # ---------------------------------------------------------------------------

@@ -207,9 +207,9 @@ def simulate(
     true_bounds = analysis.bounds
 
     # every block uses the operator's rows in native order, so column j of `values`
-    # is row j+1 applied to all blocks; a stage computes only columns not yet reached
+    # is row j+1 applied to all blocks; a stage appends only columns not yet reached
     blocks = grid.blocks.reshape(n, dim)
-    values = np.zeros((n, dim))
+    values = np.empty((n, 0))
     cumulative = np.zeros(n, dtype=np.int64)
     stage_states = []
     for t in range(1, stages + 1):
@@ -240,12 +240,12 @@ def simulate(
             )
             solution = solve(problem)
             shares = budget * solution.q
-        reached = int(cumulative.max())
+        reached = values.shape[1]
         counts = apportion(shares, budget, dim - cumulative)
         cumulative = cumulative + counts
         top = int(cumulative.max())
         if top > reached:
-            values[:, reached:top] = sample_rows(matrix, reached + 1, top, blocks)
+            values = np.hstack([values, sample_rows(matrix, reached + 1, top, blocks)])
         stage_states.append(
             StageState(
                 stage_rate=rate,
@@ -260,8 +260,8 @@ def simulate(
             )
         )
 
-    # zero the rows computed past a block's count; columns from `top` on were never computed
-    values[:, :top][np.arange(top) >= cumulative[:, None]] = 0.0
+    # zero the rows computed past a block's count
+    values[np.arange(values.shape[1]) >= cumulative[:, None]] = 0.0
     return MultiStagePlan(
         block_size=grid.block_size,
         grid_rows=grid.rows,

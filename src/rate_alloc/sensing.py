@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import BlockGrid, Image, _frozen, assemble
+from .imaging import BlockGrid, Image, _frozen, _stitch
 
 # the build holds about five dim^2 float64 arrays: 640 MiB at B=64, 10 GiB at B=128
 _MAX_BLOCK_SIZE = 64
@@ -47,8 +47,9 @@ class Measurements:
     """Every block's measurements, one row per block.
 
     values[i, :counts[i]] are rows 1..counts[i] of the operator applied to
-    block i; `values` is (blocks, dim) and exactly zero beyond each count,
-    and `counts` is int64 with each count in [0, dim].
+    block i; `values` is (blocks, width) and exactly zero beyond each count,
+    and `counts` is int64 with each count in [0, width].  The width is any
+    number of columns up to the operator's dim; sampling emits the largest count.
     """
 
     values: np.ndarray
@@ -61,7 +62,7 @@ class Measurements:
             raise ValueError(f"values {values.shape} need one count per row, not {counts.shape}")
         if counts.size and (counts.min() < 0 or counts.max() > values.shape[1]):
             raise ValueError(f"counts must lie in [0, {values.shape[1]}]")
-        if np.any(values, where=np.arange(values.shape[1]) >= counts[:, None]):
+        if values[np.arange(values.shape[1]) >= counts[:, None]].any():
             raise ValueError("values beyond a block's count must be zero")
         object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "counts", _frozen(counts, np.int64))
@@ -131,14 +132,16 @@ def adjoint_reconstruct(
 
 
 def sample_plan(grid: BlockGrid, per_block_M, matrix: MeasurementMatrix) -> Measurements:
-    """Single-stage sampling: rows 1..M_i of the operator per block."""
+    """Single-stage sampling: rows 1..M_i of the operator per block.
+
+    The record holds one column per row up to the largest M_i, zero beyond each block's own.
+    """
     counts = np.asarray(per_block_M, dtype=np.int64)
     if counts.shape != (grid.block_count,):
         raise ValueError("one count per block required")
-    values = np.zeros((grid.block_count, matrix.dim))
     top = int(counts.max(initial=0))
-    values[:, :top] = sample_rows(matrix, 1, top, grid.blocks.reshape(grid.block_count, -1))
-    values[:, :top][np.arange(top) >= counts[:, None]] = 0.0
+    values = sample_rows(matrix, 1, top, grid.blocks.reshape(grid.block_count, -1))
+    values[np.arange(top) >= counts[:, None]] = 0.0
     return Measurements(values, counts)
 
 
@@ -148,31 +151,34 @@ def reconstruct_plan(plan, measurements: Measurements, matrix: MeasurementMatrix
 
     `plan` only needs block_size / grid_rows / grid_cols attributes, so
     both single-stage and multi-stage plans work.  Values are zero beyond
-    each block's count, so one product over the used row prefix is the
-    per-block adjoint of every block at once.  An operator of another
-    block size, or a height or width the plan's grid could not have been
-    cut from, raises ValueError before the product.
+    each block's count, so a product over the used row prefix is the
+    per-block adjoint of every block.  It runs one block row at a time, and
+    each row is clamped into the one output image while it is in cache.
+    An operator of another block size, a height or width the plan's grid
+    could not have been cut from, or records of another block count or
+    wider than the operator raise ValueError before any product.
     """
-    b = plan.block_size
-    n = plan.grid_rows * plan.grid_cols
+    b, cols = plan.block_size, plan.grid_cols
+    n = plan.grid_rows * cols
     if matrix.dim != b * b:
         raise ValueError(f"operator of size {matrix.dim} does not fit {b}x{b} blocks")
-    if not (0 <= plan.grid_rows * b - original_h < b and 0 <= plan.grid_cols * b - original_w < b):
+    if not (0 <= plan.grid_rows * b - original_h < b and 0 <= cols * b - original_w < b):
         raise ValueError(f"a {original_h}x{original_w} image does not fit a "
-                         f"{plan.grid_rows}x{plan.grid_cols} grid of {b}x{b} blocks")
-    if measurements.values.shape != (n, b * b):
-        raise ValueError(f"measurements of shape {measurements.values.shape} do not fit {n} blocks")
+                         f"{plan.grid_rows}x{cols} grid of {b}x{b} blocks")
+    values = measurements.values
+    if values.shape[0] != n or values.shape[1] > b * b:
+        raise ValueError(f"measurements of shape {values.shape} do not fit {n} blocks of {b * b} values")
     top = int(measurements.counts.max(initial=0))
-    blocks = adjoint_reconstruct(matrix, 1, top, measurements.values[:, :top])
-    grid = BlockGrid(
-        block_size=b,
-        rows=plan.grid_rows,
-        cols=plan.grid_cols,
-        pad_bottom=plan.grid_rows * b - original_h,
-        pad_right=plan.grid_cols * b - original_w,
-        blocks=blocks.reshape(n, b, b),
-    )
-    return assemble(grid)
+    # numpy takes a one-row product through gemv, which may round unlike the
+    # whole product's gemm, so a one-block-wide grid is done in one product
+    step = cols if cols > 1 else n
+
+    def block_rows():
+        for start in range(0, n, step):
+            blocks = adjoint_reconstruct(matrix, 1, top, values[start : start + step, :top])
+            yield from blocks.reshape(-1, cols, b, b)
+
+    return _stitch(block_rows(), b, original_h, original_w)
 
 
 def psnr(reference: Image, estimate: Image) -> float:

@@ -413,6 +413,26 @@ class TestFailFast:
         assert "block size 1025 is above the limit of 1024" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, source", [
+        ("analyze", ("--synthetic", "flat")),
+        ("simulate", ("--synthetic", "checkerboard")),
+        ("allocate", ("--image", "small.pgm")),
+    ])
+    @pytest.mark.parametrize("size", [0, -3, 1])
+    def test_block_size_below_two_named(self, command, source, size, tmp_path, monkeypatch, capsys):
+        from rate_alloc import imaging
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("image built or read before the block size was checked")
+
+        replace_everywhere(monkeypatch, imaging, "Image", forbidden)
+        (tmp_path / "small.pgm").write_bytes(encode_pgm(Image(np.full((4, 3), 0.5))))
+        monkeypatch.chdir(tmp_path)
+        rc = run(command, *source, "--rate", 0.1, "--block-size", size, "--out", tmp_path / "out")
+        assert rc == 2
+        assert f"--block-size {size} must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["analyze", "allocate", "simulate", "compare"])
     @pytest.mark.parametrize("flags, message", [
         (("--rate", 0.005), "below the curve anchor"),

@@ -3,7 +3,9 @@
 Images of random (often odd) shapes, block sizes 2-8, rates over the
 curve's range and up to five stages: the invariants hold for every draw,
 and draws whose stage-1 budget cannot reach every block are rejected with
-the documented error rather than failing some other way.
+the documented error rather than failing some other way.  Block sizes are
+powers of two, where the BLAS rounds a product's rows the same however
+many rows it is given, so a row-by-row reconstruction is held to bit equality.
 """
 
 import math
@@ -115,3 +117,30 @@ def test_simulation_invariants(seed, h, w, block, rate, stages, predictor):
         reference = matrix.rows[:count] @ flat[i]
         assert np.abs(records.values[i, :count] - reference).max(initial=0.0) <= 1e-12
         assert not records.values[i, count:].any()
+
+
+@SETTINGS
+@given(seed=seeds, h=sides, w=sides, block=blocks, rate=st.floats(0.01, 1.0),
+       stages=st.integers(1, 5), predictor=st.sampled_from(sorted(PREDICTORS)))
+def test_records_hold_only_the_measured_columns(seed, h, w, block, rate, stages, predictor):
+    image = random_image(seed, h, w)
+    grid = partition(image, block)
+    n, dim = grid.block_count, block * block
+    matrix = operator(block)
+    counts = np.random.default_rng(seed).integers(0, dim + 1, size=n)
+    records = [sample_plan(grid, counts, matrix)]
+    if stages == 1 or round_half_up(rate / stages * grid.padded_pixel_count) >= n:
+        records.append(run_simulation(image, block, rate, stages, PREDICTORS[predictor](), matrix).records)
+    plan = SimpleNamespace(block_size=block, grid_rows=grid.rows, grid_cols=grid.cols)
+
+    for record in records:
+        top = int(record.counts.max())
+        assert record.values.shape == (n, top)
+        assert not record.values[np.arange(top) >= record.counts[:, None]].any()
+        # the old wide record and its one adjoint product over the used row prefix
+        wide = np.zeros((n, dim))
+        wide[:, :top] = record.values
+        adjoint = wide[:, :top] @ matrix.rows[:top]
+        padded = adjoint.reshape(grid.rows, grid.cols, block, block).swapaxes(1, 2)
+        reference = np.clip(padded.reshape(grid.rows * block, grid.cols * block)[:h, :w], 0.0, 1.0)
+        assert np.array_equal(reconstruct_plan(plan, record, matrix, h, w).pixels, reference)

@@ -208,7 +208,7 @@ class TestMeasurements:
         counts = rng.integers(0, 65, size=grid.block_count)
         rec = sample_plan(grid, counts, matrix8)
         assert np.array_equal(rec.counts, counts)
-        assert rec.values.shape == (grid.block_count, 64)
+        assert rec.values.shape == (grid.block_count, counts.max())
         for i, c in enumerate(counts):
             reference = matrix8.rows[:c] @ grid.blocks[i].reshape(-1)
             assert np.abs(rec.values[i, :c] - reference).max(initial=0.0) <= 1e-12
@@ -306,7 +306,7 @@ class TestReconstructPlan:
             reconstruct_plan(plan, records, matrix8, 16, 16)
         assert calls == []
         reconstruct_plan(plan, records, matrix4, 16, 16)
-        assert len(calls) == 1
+        assert len(calls) == plan.grid_rows  # one product per block row
 
     def test_matches_per_block_adjoint(self, matrix8):
         rng = np.random.default_rng(59)
