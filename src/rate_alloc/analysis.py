@@ -65,7 +65,7 @@ def target_sparsity_ratio(s_r: float, params: CurveParams = DEFAULT_CURVE) -> fl
             f"sampling rate {s_r} below the curve anchor {params.s_r1}"
         )
     p_s = params.b * math.log(params.a * (s_r - params.s_r1) + 1.0) + params.p_s1
-    if p_s >= 1.0:
+    if not p_s < 1.0:  # NaN (an infinite a at s_r = s_r1) fails too
         raise ValueError(f"target sparsity ratio {p_s} out of range at rate {s_r}")
     return p_s
 

@@ -437,6 +437,7 @@ class TestFailFast:
     @pytest.mark.parametrize("flags, message", [
         (("--rate", 0.005), "below the curve anchor"),
         (("--rate", 0.99, "--curve", "78.77,0.5,0.01,0.005"), "out of range"),
+        (("--rate", 0.1, "--curve", "inf,0.0444,0.1,0.005"), "out of range"),
     ])
     def test_bad_rate_or_curve_exits_before_dct(self, command, flags, message, tmp_path, monkeypatch, capsys):
         from rate_alloc import imaging

@@ -147,9 +147,16 @@ class TestPgm:
                 TruncatedPayloadError,
                 "payload truncated at byte 4311: expected 9999",
             ),
+            # numpy's text parser reads a separator-only payload as one 0
+            (
+                b"P2 1 1 255 \n \t",
+                TruncatedPayloadError,
+                "payload truncated at byte 14: expected 1 samples, found 0",
+            ),
         ],
         ids=["letter", "plus", "minus", "truncated", "header-eof", "above-maxval", "huge-sample",
-             "huge-header", "long-sample", "long-header", "long-maxval", "limit-header"],
+             "huge-header", "long-sample", "long-header", "long-maxval", "limit-header",
+             "separators-only"],
     )
     def test_p2_rejected(self, tmp_path, data, error, message):
         path = tmp_path / "bad.pgm"
@@ -273,7 +280,8 @@ def small_p2_files(draw):
     for _ in range(draw(st.just(w * h) | st.integers(0, w * h + 2))):
         one_byte = draw(st.integers(0, 9)) > 0
         parts.append(draw(st.sampled_from(SIX_SEPARATORS) if one_byte else SEPARATORS))
-        zeros = b"0" * draw(st.sampled_from([0, 0, 1, 4, 7]))
+        # a run of 4,300 digits is decoded in bulk, a longer one by the field reader
+        zeros = b"0" * draw(st.sampled_from([0, 0, 1, 4, 7, 4299, 4300, 4301]))
         parts.append(zeros + b"%d" % draw(st.integers(0, maxval)))
         if draw(st.integers(0, 29)) == 0:
             parts.append(draw(NOISE))
@@ -301,23 +309,36 @@ class TestBulkP2:
         monkeypatch.setattr(imaging, "_ascii_samples", fail_field_reader)
         img = load_pgm_bytes(tmp_path, b"P2\n3 2\n255\n0 17 255\n0001\t00000\r\n9\n")
         assert np.array_equal(img.pixels, np.array([[0, 17, 255], [1, 0, 9]]) / 255)
+        # zero-padded runs of 6 and of 4,300 digits, int()'s default limit
+        img = load_pgm_bytes(tmp_path, b"P2 3 1 255 1 000002 " + b"0" * 4297 + b"255")
+        assert np.array_equal(img.pixels, np.array([[1, 2, 255]]) / 255)
 
     @pytest.mark.parametrize(
-        "data",
-        [b"P2 3 1 255 # c\n1 2 3", b"P2 3 1 255 1 2 3 junk", b"P2 3 1 255 1 2 000003"],
-        ids=["comment", "trailing-junk", "six-digit-run"],
+        "data, want",
+        [
+            (b"P2 3 1 255 # c\n1 2 3", np.array([[1, 2, 3]]) / 255),
+            (b"P2 3 1 255 1 2 3 junk", np.array([[1, 2, 3]]) / 255),
+            # past int()'s limit the field reader counts the run as above maxval, zeros or not
+            (b"P2 3 1 255 1 2 " + b"0" * 4298 + b"003", (PgmError, "sample exceeds maxval 255")),
+        ],
+        ids=["comment", "trailing-junk", "4301-digit-run"],
     )
-    def test_other_payloads_go_through_field_reader(self, tmp_path, data):
+    def test_other_payloads_go_through_field_reader(self, tmp_path, data, want):
         calls, field_reader = [], imaging._ascii_samples
 
         def spy(*args):
             calls.append(args)
             return field_reader(*args)
 
+        path = tmp_path / "f.pgm"
+        path.write_bytes(data)
         with mock.patch.object(imaging, "_ascii_samples", spy):
-            img = load_pgm_bytes(tmp_path, data)
+            got = outcome(path)
         assert len(calls) == 1
-        assert np.array_equal(img.pixels, np.array([[1, 2, 3]]) / 255)
+        if isinstance(want, tuple):
+            assert got[0] is want[0] and got[1].startswith(want[1])
+        else:
+            assert got == want.tobytes()
 
     def test_every_other_byte_left_to_field_reader(self, tmp_path):
         path = tmp_path / "f.pgm"
@@ -328,13 +349,12 @@ class TestBulkP2:
                 assert got == outcome(path), byte
 
     @settings(max_examples=300, deadline=None)
-    @given(data=small_p2_files(), chunk=st.sampled_from([6, 7, 11, imaging._CHUNK]))
-    def test_bulk_and_field_reader_agree(self, tmp_path_factory, data, chunk):
+    @given(data=small_p2_files())
+    def test_bulk_and_field_reader_agree(self, tmp_path_factory, data):
         # the reference is load_pgm with the bulk decoder off: the field reader alone
         path = tmp_path_factory.mktemp("pgm") / "f.pgm"
         path.write_bytes(data)
-        with mock.patch.object(imaging, "_CHUNK", chunk):
-            got = outcome(path)
+        got = outcome(path)
         with mock.patch.object(imaging, "_bulk_samples", return_value=None):
             want = outcome(path)
         assert got == want
