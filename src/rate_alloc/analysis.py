@@ -60,6 +60,8 @@ class SparsityProfile:
 
 def target_sparsity_ratio(s_r: float, params: CurveParams = DEFAULT_CURVE) -> float:
     """Target overall sparsity ratio for a given overall sampling rate."""
+    if not (0 < s_r <= 1):
+        raise ValueError("sampling rate must lie in (0, 1]")
     if s_r < params.s_r1:
         raise ValueError(
             f"sampling rate {s_r} below the curve anchor {params.s_r1}"
@@ -170,8 +172,6 @@ class Analysis:
 
 def analyze(grid: BlockGrid, s_r: float, curve: CurveParams = DEFAULT_CURVE) -> Analysis:
     """The pipeline in order: target ratio, DCT, threshold, sparsity, bounds."""
-    if not (0 < s_r <= 1):
-        raise ValueError("sampling rate must lie in (0, 1]")
     target_ps = target_sparsity_ratio(s_r, curve)  # rejects a bad rate or curve before the DCT
     coeffs = dct2_blocks(grid.blocks)
     sparsity = sparsity_profile(coeffs, solve_threshold(coeffs, target_ps))

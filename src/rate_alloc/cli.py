@@ -55,15 +55,6 @@ def _heatmap_csv(values, rows: int, cols: int, fmt: str) -> str:
     return "\n".join(",".join(fmt % v for v in row) for row in grid) + "\n"
 
 
-def _load_image(args) -> imaging.Image:
-    # before a synthetic image is built from it, or a file is read for it
-    if args.block_size < 2:
-        raise ValueError(f"--block-size {args.block_size} must be at least 2")
-    if args.synthetic is not None:
-        return synthetic_image(args.synthetic, args.block_size)
-    return imaging.load_pgm(args.image)
-
-
 def _curve(args) -> analysis.CurveParams:
     if args.curve is None:
         return analysis.DEFAULT_CURVE
@@ -74,9 +65,20 @@ def _curve(args) -> analysis.CurveParams:
     return analysis.CurveParams(a=a, b=b, s_r1=sr1, p_s1=ps1)
 
 
-def cmd_analyze(args) -> int:
-    grid = imaging.partition(_load_image(args), args.block_size)
+def _grid(args):
+    """Check every flag that needs no pixels, then load and partition the image: (image, grid, curve)."""
+    if args.block_size < 2:
+        raise ValueError(f"--block-size {args.block_size} must be at least 2")
+    imaging._check_block_size(args.block_size)
     curve = _curve(args)
+    analysis.target_sparsity_ratio(args.rate, curve)
+    image = (imaging.load_pgm(args.image) if args.synthetic is None
+             else synthetic_image(args.synthetic, args.block_size))
+    return image, imaging.partition(image, args.block_size), curve
+
+
+def cmd_analyze(args) -> int:
+    _, grid, curve = _grid(args)
     result = analysis.analyze(grid, args.rate, curve)
     profile, bounds = result.sparsity, result.bounds
     total_bounds = float(bounds.sum())
@@ -112,8 +114,8 @@ def _plan_json(plan: allocation.AllocationPlan) -> str:
 
 
 def cmd_allocate(args) -> int:
-    grid = imaging.partition(_load_image(args), args.block_size)
-    plan = allocation.adaptive_plan(analysis.analyze(grid, args.rate, _curve(args)))
+    _, grid, curve = _grid(args)
+    plan = allocation.adaptive_plan(analysis.analyze(grid, args.rate, curve))
     out = Path(args.out)
     _write_atomic(out / "plan.json", _plan_json(plan))
     _write_atomic(
@@ -129,12 +131,9 @@ def _sense(args):
 
     Returns (image, analysis, operator, plan).
     """
-    image = _load_image(args)
-    grid = imaging.partition(image, args.block_size)
-    # the cheap checks of the stage count, rate and curve, before the operator is built
+    image, grid, curve = _grid(args)
+    # the stage count, then the operator's seed and size, before the DCT
     multistage.check_stages(grid, args.rate, args.stages)
-    curve = _curve(args)
-    analysis.target_sparsity_ratio(args.rate, curve)
     matrix = sensing.build_matrix(args.block_size, args.seed)
     result = analysis.analyze(grid, args.rate, curve)
     predictor = multistage.PREDICTORS[args.predictor]()

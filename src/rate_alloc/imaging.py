@@ -209,6 +209,7 @@ def dct2_blocks(blocks: np.ndarray) -> np.ndarray:
 # Separators (ASCII whitespace, or a '#' comment through its newline or EOF),
 # then the digit run of one field; the run may be empty, so it always matches.
 _FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*(\d*)")
+_MAX_DIGITS = 4300  # the longest digit run read, whatever the interpreter's int() limit
 
 
 def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -216,47 +217,41 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     match = _FIELD.match(data, pos)
     start, end = match.span(1)
     if start == end:
-        raise MalformedHeaderError(
-            f"expected {what} at byte {start}, found {data[start:start + 8]!r}"
-        )
-    try:
-        return int(match[1]), end
-    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-        raise MalformedHeaderError(
-            f"{what} at byte {start} is {end - start} digits long, too long to read"
-        ) from None
+        raise MalformedHeaderError(f"expected {what} at byte {start}, found {data[start:start + 8]!r}")
+    if end - start <= _MAX_DIGITS:
+        try:
+            return int(match[1]), end
+        except ValueError:  # an interpreter whose int() limit is below _MAX_DIGITS
+            pass
+    raise MalformedHeaderError(f"{what} at byte {start} is {end - start} digits long, too long to read")
 
 
 def _ascii_samples(data: bytes, pos: int, count: int, maxval: int):
-    """Yield ``count`` P2 samples from ``pos``, each capped at ``maxval + 1``."""
+    """Yield ``count`` P2 samples from ``pos``; int() reads at most five digits of each.
+
+    A run past _MAX_DIGITS or five significant digits, above any maxval, yields ``maxval + 1``.
+    """
     for found in range(count):
-        try:
-            value, pos = _read_int(data, pos, "sample")
-        except MalformedHeaderError:
-            field = _FIELD.match(data, pos)
-            if field.end(1) > field.start(1):
-                # a digit run too long to convert is far above any maxval
-                value, pos = maxval + 1, field.end()
-            elif field.end() < len(data):
-                raise
-            else:
-                raise TruncatedPayloadError(
-                    f"payload truncated at byte {len(data)}: expected {count} samples, found {found}"
-                ) from None
-        # the cap keeps a huge sample finite in float64; it still fails the maxval check
-        yield min(value, maxval + 1)
+        start, pos = _FIELD.match(data, pos).span(1)
+        if start == pos < len(data):
+            raise MalformedHeaderError(f"expected sample at byte {start}, found {data[start:start + 8]!r}")
+        if start == pos:
+            raise TruncatedPayloadError(
+                f"payload truncated at byte {pos}: expected {count} samples, found {found}")
+        run = data[start:pos]
+        yield maxval + 1 if pos - start > _MAX_DIGITS or run[:-5].strip(b"0") else int(run[-5:])
 
 
 # Each byte's class: b"d" a digit, b" " one of the six bytes \s matches, b"x" anything else
 _BYTE_KIND = bytes(100 if 48 <= c <= 57 else 32 if c in b" \t\n\r\x0b\x0c" else 120 for c in range(256))
-_LONG_RUN = b"d" * 4301  # past int()'s default limit; the field reader reads such a run as above maxval
+_LONG_RUN = b"d" * (_MAX_DIGITS + 1)  # the field reader reads such a run as above maxval
 
 
 def _bulk_samples(data: bytes, pos: int, count: int) -> np.ndarray | None:
     """Decode ``count`` P2 samples from ``pos`` in bulk, as int64.
 
     Returns None, leaving the payload to the field reader, unless it holds
-    only digits and separators, no digit run is longer than 4,300 and there
+    only digits and separators, no digit run is longer than _MAX_DIGITS and there
     are at least ``count`` runs.  A value past int64 saturates, still above maxval.
     """
     payload = data[pos:]

@@ -196,7 +196,7 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
         mu = min(max(problem.beta / problem.alpha, lo + eps), hi - eps)
 
     trace = []
-    cap = 10 * problem.size + 100
+    cap = 10 * problem.size + 2200  # bisection alone exhausts any double bracket in ~2,100 halvings
     for _ in range(cap):
         candidate = _newton(problem, mu)
         if candidate is not None:
@@ -231,17 +231,16 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
 
 
 def oracle_solve(problem: KlAllocProblem) -> KlAllocSolution:
-    """Independent reference solver: 200 plain bisections on sign(Q - 1)."""
+    """Independent reference solver: plain bisection on sign(Q - 1) down to float resolution."""
     lo, hi = 0.0, _upper_bracket(problem)
     trace = []
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         trace.append((mid, BISECTION))
         if q_total(problem, mid) < 1.0:
             lo = mid
         else:
             hi = mid
-    return _solution(problem, 0.5 * (lo + hi), trace, STATUS_BISECTION)
+    return _solution(problem, mid, trace, STATUS_BISECTION)
 
 
 def kkt_residual(problem: KlAllocProblem, q: np.ndarray, mu_star: float) -> float:

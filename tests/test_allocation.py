@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rate_alloc.allocation import (
     AllocationPlan,
     apportion,
+    plan_from_bounds,
     proportional_shares,
     round_half_up,
     single_stage_plan,
@@ -161,6 +163,12 @@ class TestUniformPlan:
     def test_full_rate(self):
         plan = uniform_plan(synthetic_image("flat"), 32, 1.0)
         assert (plan.per_block_M == 1024).all()
+
+    @pytest.mark.parametrize("rate", [0.0, 1.5, math.nan])
+    def test_rate_out_of_range(self, rate):
+        grid = partition(synthetic_image("flat"), 32)
+        with pytest.raises(ValueError, match=r"sampling rate must lie in \(0, 1\]"):
+            plan_from_bounds(grid, np.zeros(grid.block_count), rate, None)
 
 
 class TestPlanType:

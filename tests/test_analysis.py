@@ -40,6 +40,11 @@ class TestCurve:
         with pytest.raises(ValueError):
             target_sparsity_ratio(0.005, DEFAULT_CURVE)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5, math.nan])
+    def test_rate_range_checked_before_anchor(self, rate):
+        with pytest.raises(ValueError, match=r"sampling rate must lie in \(0, 1\]"):
+            target_sparsity_ratio(rate, DEFAULT_CURVE)
+
     def test_saturated_ratio_rejected(self):
         params = CurveParams(a=100.0, b=5.0, s_r1=0.01, p_s1=0.5)
         with pytest.raises(ValueError):

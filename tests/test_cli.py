@@ -227,6 +227,36 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["q"] == pytest.approx([0.25, 0.75], abs=1e-12)
 
+    def test_wide_bracket_converges_and_verifies(self, tmp_path, capsys):
+        # the upper bracket is ~1e206 and the root 1.5: ~640 bisection steps apart
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"p": [1, 1e-200], "r": [0.5, 0.5], "alpha": 0.5, "a": [1e6, 1e6]}))
+        assert run("solve", path) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["q"], doc["mu"]) == ([1.0, 0.0], 1.5)
+        assert run("solve", path, "--verify") == 0
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"p": [0.6, -0.3, 0.1]}, "p entries must be nonnegative"),
+            ({"r": [0.5, 0.5, 0.0]}, "r entries must be strictly positive"),
+            ({"a": [0.5, -1.0, 1.0]}, "caps must be finite and nonnegative"),
+            ({"a": [0.5, float("inf"), 1.0]}, "caps must be finite and nonnegative"),
+            ({"r": [0.5, 0.5]}, "p, r, a must share one length"),
+            ({"alpha": 0}, "alpha must lie in (0, 1]"),
+            ({"alpha": 1.5}, "alpha must lie in (0, 1]"),
+            ({"p": [10**400, 1, 1]}, "problem JSON field 'p': int too large to convert to float"),
+        ],
+        ids=["p-negative", "r-zero", "a-negative", "a-infinite", "lengths", "alpha-zero", "alpha-above-one",
+             "p-overflow"],
+    )
+    def test_value_checks_exit_two(self, tmp_path, capsys, change, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**HAND_PROBLEM, **change}))
+        assert run("solve", path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_infeasible_exits_four(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"p": [1.0], "r": [1.0], "alpha": 0.5, "a": [0.2]}))
@@ -431,6 +461,29 @@ class TestFailFast:
         rc = run(command, *source, "--rate", 0.1, "--block-size", size, "--out", tmp_path / "out")
         assert rc == 2
         assert f"--block-size {size} must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "allocate", "simulate", "compare"])
+    @pytest.mark.parametrize("source", [("--image", "f.pgm"), ("--synthetic", "flat")], ids=["image", "synthetic"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--block-size", 1025), "block size 1025 is above the limit of 1024"),
+        (("--rate", 2), "sampling rate must lie in (0, 1]"),
+        (("--rate", 0.005), "sampling rate 0.005 below the curve anchor 0.01"),
+        (("--curve", "1,2"), "--curve expects four comma-separated values: a,b,sr1,ps1"),
+        (("--curve", "inf,0.0444,0.1,0.005"), "target sparsity ratio nan out of range at rate 0.1"),
+    ], ids=["block-size", "rate-range", "rate-anchor", "curve-arity", "curve-target"])
+    def test_flags_checked_before_image_is_read(self, command, source, flags, message, tmp_path, monkeypatch,
+                                                capsys):
+        from rate_alloc import imaging, synthetic
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("image read or built before the flags that need no pixels were checked")
+
+        replace_everywhere(monkeypatch, imaging, "load_pgm", forbidden)
+        replace_everywhere(monkeypatch, synthetic, "synthetic_image", forbidden)
+        rc = run(command, *source, "--rate", 0.1, *flags, "--out", tmp_path / "out")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "allocate", "simulate", "compare"])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -230,8 +234,8 @@ SIX_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
 
 
 @pytest.fixture(scope="module")
-def multi_chunk_p2():
-    """A 512x512 maxval-65535 payload several chunks long, and its samples.
+def large_p2():
+    """A 512x512 maxval-65535 P2 payload and its samples.
 
     Runs are 1-5 digits, one in eight zero-padded to five (``00042``), each
     after exactly one separator cycling through all six.
@@ -243,7 +247,6 @@ def multi_chunk_p2():
     fields = [f"{v:05d}" if pad else str(v) for v, pad in zip(samples.tolist(), padded)]
     separators = [SIX_SEPARATORS[i % 6].decode() for i in range(count)]
     payload = "".join(sep + field for sep, field in zip(separators, fields)).encode()
-    assert len(payload) > 3 * imaging._CHUNK
     return payload, samples.reshape(512, 512)
 
 
@@ -290,20 +293,13 @@ def small_p2_files(draw):
 
 
 class TestBulkP2:
-    def test_bulk_matches_p5_across_chunk_edges(self, tmp_path, monkeypatch, multi_chunk_p2):
-        payload, samples = multi_chunk_p2
+    def test_bulk_matches_p5(self, tmp_path, monkeypatch, large_p2):
+        payload, samples = large_p2
         expected = load_pgm_bytes(tmp_path, b"P5 512 512 65535\n" + samples.astype(">u2").tobytes())
         assert np.array_equal(expected.pixels, samples / 65535)
         monkeypatch.setattr(imaging, "_ascii_samples", fail_field_reader)
-        header = b"P2 512 512 65535"
-        edge = len(header) + imaging._CHUNK  # where the first chunk ends
-        run_ends_at_edge = run_spans_edge = False
-        for shift in range(6):  # moves the first chunk edge over six payload bytes
-            data = header + b" " * shift + payload
-            run_ends_at_edge |= data[edge - 1 : edge].isdigit() and data[edge : edge + 1].isspace()
-            run_spans_edge |= data[edge - 1 : edge + 1].isdigit()
-            assert load_pgm_bytes(tmp_path, data).pixels.tobytes() == expected.pixels.tobytes()
-        assert run_ends_at_edge and run_spans_edge
+        got = load_pgm_bytes(tmp_path, b"P2 512 512 65535" + payload)
+        assert got.pixels.tobytes() == expected.pixels.tobytes()
 
     def test_clean_p2_never_reaches_field_reader(self, tmp_path, monkeypatch):
         monkeypatch.setattr(imaging, "_ascii_samples", fail_field_reader)
@@ -318,7 +314,7 @@ class TestBulkP2:
         [
             (b"P2 3 1 255 # c\n1 2 3", np.array([[1, 2, 3]]) / 255),
             (b"P2 3 1 255 1 2 3 junk", np.array([[1, 2, 3]]) / 255),
-            # past int()'s limit the field reader counts the run as above maxval, zeros or not
+            # past imaging._MAX_DIGITS the field reader counts the run as above maxval, zeros or not
             (b"P2 3 1 255 1 2 " + b"0" * 4298 + b"003", (PgmError, "sample exceeds maxval 255")),
         ],
         ids=["comment", "trailing-junk", "4301-digit-run"],
@@ -358,6 +354,46 @@ class TestBulkP2:
         with mock.patch.object(imaging, "_bulk_samples", return_value=None):
             want = outcome(path)
         assert got == want
+
+
+class TestDigitLimit:
+    FILES = {
+        "sample-5001": b"P2 1 1 255\n# c\n" + b"0" * 5000 + b"7\n",
+        "width-5001": b"P2 " + b"0" * 5000 + b"1 1 255 7\n",
+        "sample-1000": b"P2 1 1 255\n# c\n" + b"0" * 999 + b"7\n",
+        "width-1000": b"P2 " + b"0" * 999 + b"1 1 255 7\n",
+    }
+    LOADER = (
+        "import sys\n"
+        "from rate_alloc.imaging import load_pgm\n"
+        "for path in sys.argv[1:]:\n"
+        "    try:\n"
+        "        print((load_pgm(path).pixels * 255).tolist())\n"
+        "    except ValueError as error:\n"
+        "        print(str(error).replace(path, 'PATH'))\n"
+    )
+
+    @pytest.mark.parametrize("limit, width_1000", [
+        # 0 lifts int()'s limit; 640, the least it takes, makes int() refuse a 1,000-digit field
+        ("0", "[[7.0]]"),
+        pytest.param("640", "width at byte 3 is 1000 digits long, too long to read",
+                     marks=pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                              reason="int() has no digit limit before Python 3.10.7")),
+    ])
+    def test_runs_past_4300_digits_fail_under_any_int_limit(self, tmp_path, limit, width_1000):
+        paths = []
+        for name, data in self.FILES.items():
+            paths.append(tmp_path / f"{name}.pgm")
+            paths[-1].write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=str(Path(imaging.__file__).parents[1]), PYTHONINTMAXSTRDIGITS=limit)
+        result = subprocess.run([sys.executable, "-c", self.LOADER, *map(str, paths)],
+                                env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert result.stdout.splitlines() == [
+            "sample exceeds maxval 255 in payload of PATH",
+            "width at byte 3 is 5001 digits long, too long to read",
+            "[[7.0]]",
+            width_1000,
+        ]
 
 
 class TestPartition:

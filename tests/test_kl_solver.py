@@ -246,6 +246,13 @@ class TestSolve:
         assert np.abs(sol.q - ref.q).max() <= 1e-8
         assert abs(sol.q.sum() - 1.0) <= 1e-10
 
+    def test_flat_segment_exit_pinned(self):
+        # the start mu = beta / alpha = 9 caps both heavy coordinates: Q(9) is exactly 1, flat
+        prob = KlAllocProblem(p=[0.45, 0.45, 0.1], r=[0.01, 0.01, 0.98], alpha=0.1, a=[0.5, 0.5, 1.0])
+        sol = solve(prob)
+        assert sol.q.tolist() == [0.5, 0.5, 0.0]
+        assert (sol.mu_star, sol.trace, sol.status) == (9.0, (), STATUS_BISECTION)
+
     def test_arrays_copied_from_caller(self):
         p, r, a = np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.ones(2)
         prob = KlAllocProblem(p=p, r=r, alpha=0.5, a=a)
@@ -343,7 +350,28 @@ class TestHardRegime:
         sol = solve(prob)
         assert np.abs(sol.q - oracle_solve(prob).q).max() <= 1e-8
         assert kkt_residual(prob, sol.q, sol.mu_star) <= 1e-8
-        assert sol.iterations <= 10 * n + 100  # the cap solve() enforces
+        assert sol.iterations <= 10 * n + 100  # narrow brackets: far below solve()'s cap of 10n + 2200
+
+
+class TestWideBracket:
+    """Weights spanning 300 decades, so the upper bracket lies up to ~1e300 above the root."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 32),
+        log_alpha=st.floats(math.log(0.05), 0.0),
+    )
+    def test_solver_and_oracle_agree(self, seed, n, log_alpha):
+        rng = np.random.default_rng(seed)
+        p = 10.0 ** rng.uniform(-300.0, 0.0, size=n)
+        a = rng.uniform(0.0, 2.0, size=n) * 10.0 ** rng.uniform(0.0, 4.0)
+        a *= max(1.001 / a.sum(), 1.0)
+        prob = KlAllocProblem(p=p, r=rng.exponential(size=n) + 1e-3, alpha=math.exp(log_alpha), a=a)
+        sol = solve(prob)
+        assert np.abs(sol.q - oracle_solve(prob).q).max() <= 1e-8
+        assert kkt_residual(prob, sol.q, sol.mu_star) <= 1e-8
+        assert sol.iterations <= 10 * n + 2200
 
 
 class TestLemmaOneProperty:

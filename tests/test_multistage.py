@@ -379,6 +379,11 @@ class TestRunSimulation:
         for sa, sb in zip(a.stages, b.stages):
             assert np.array_equal(sa.stage_M, sb.stage_M)
 
+    def test_operator_size_must_match_block_size(self, matrix32):
+        result = analyze(partition(synthetic_image("flat", 8), 8), 0.2)
+        with pytest.raises(ValueError, match="operator size does not match the block size"):
+            multistage.simulate(result, 2, OracleBoundsPredictor(), matrix32)
+
     def test_starved_first_stage_rejected(self, matrix32):
         img = synthetic_image("flat")
         # stage-1 budget round(0.01 * 9216 / 64) = 1 < 9 blocks
