@@ -33,7 +33,6 @@ class AllocationPlan:
     grid_rows: int
     grid_cols: int
     target_rate: float
-    total_budget: int
     per_block_M: np.ndarray
     threshold: Optional[float]
 
@@ -41,12 +40,13 @@ class AllocationPlan:
         m = np.asarray(self.per_block_M, dtype=np.int64)
         if m.shape != (self.grid_rows * self.grid_cols,):
             raise ValueError(f"counts of shape {m.shape} do not fit a {self.grid_rows}x{self.grid_cols} grid")
-        if int(m.sum()) != self.total_budget:
-            raise ValueError("per-block counts do not sum to the budget")
-        cap = self.block_size * self.block_size
-        if (m < 0).any() or (m > cap).any():
+        if (m < 0).any() or (m > self.block_size * self.block_size).any():
             raise ValueError("per-block counts must lie in [0, B^2]")
         object.__setattr__(self, "per_block_M", _frozen(m, np.int64))
+
+    @property
+    def total_budget(self) -> int:
+        return int(self.per_block_M.sum())
 
     @property
     def padded_pixel_count(self) -> int:
@@ -127,7 +127,6 @@ def plan_from_bounds(
         grid_rows=grid.rows,
         grid_cols=grid.cols,
         target_rate=s_r,
-        total_budget=budget,
         per_block_M=counts,
         threshold=threshold,
     )

@@ -37,6 +37,12 @@ def random_problem(rng, n=None, alpha=None, cap_total=None):
     return KlAllocProblem(p=w, r=r, alpha=alpha, a=a)
 
 
+def upper_bracket(prob):
+    """The largest breakpoint mu: past it every positive-weight coordinate sits at its cap."""
+    pos = prob.p > 0
+    return float(((prob.a[pos] + prob.beta * prob.r[pos] / prob.alpha) / prob.p[pos]).max())
+
+
 def bounds_of(coeff_blocks, threshold):
     """Per-block bounds under a threshold, by the counts-to-bounds table `analyze` uses."""
     coeffs = np.asarray(coeff_blocks, dtype=np.float64)

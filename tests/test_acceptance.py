@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bounds_of, random_problem
+from conftest import bounds_of, random_problem, upper_bracket
 from rate_alloc.allocation import round_half_up, single_stage_plan, uniform_plan
 from rate_alloc.analysis import DEFAULT_CURVE, target_sparsity_ratio
 from rate_alloc.imaging import Image, dct2_blocks, dct_matrix, partition
@@ -23,7 +23,7 @@ from rate_alloc.kl_solver import (
     q_total,
     solve,
 )
-from rate_alloc.multistage import OracleBoundsPredictor, kl_diagnostic, run_simulation
+from rate_alloc.multistage import OracleBoundsPredictor, kl_diagnostic, run_simulation, stage_rate
 from rate_alloc.sensing import (
     adjoint_reconstruct,
     build_matrix,
@@ -93,8 +93,7 @@ def test_c03_lemma_one_direction():
     while pairs < 10000:
         prob = random_problem(rng, n=int(rng.integers(1, 129)))
         root = oracle_solve(prob).mu_star
-        pos = prob.p > 0
-        hi = float(((prob.a[pos] + prob.beta * prob.r[pos] / prob.alpha) / prob.p[pos]).max())
+        hi = upper_bracket(prob)
         for _ in range(20):
             if pairs >= 10000:
                 break
@@ -186,7 +185,8 @@ def test_c08_multistage_bookkeeping(matrix32):
     for stages in (2, 5, 8):
         plan = run_simulation(image, 32, 0.3, stages, OracleBoundsPredictor(), matrix32)
         allocated = 0
-        for state in plan.stages:
+        for t, state in enumerate(plan.stages, start=1):
+            assert state.stage_rate == pytest.approx(stage_rate(t, stages, 0.3, allocated, pixels), abs=1e-12)
             assert state.stage_M.sum() == state.budget
             assert state.budget == round_half_up(state.stage_rate * pixels)
             allocated += state.budget
@@ -202,7 +202,7 @@ def test_c08_multistage_bookkeeping(matrix32):
     single = run_simulation(image, 32, 0.3, 1, OracleBoundsPredictor(), matrix32)
     uniform = uniform_plan(image, 32, 0.3)
     assert np.array_equal(single.final_M, uniform.per_block_M)
-    print("\ncriterion 8 PASS: stages exact for N in {2,5,8}; N=1 identical to uniform")
+    print("\ncriterion 8 PASS: catch-up rates and exact stages for N in {2,5,8}; N=1 identical to uniform")
 
 
 def test_c09_adaptive_benefit():

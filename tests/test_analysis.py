@@ -74,16 +74,23 @@ class TestSparsityRatio:
         assert sparsity_profile(blocks, 2.0).overall_ratio == 0.0
 
 
-def enumerate_best_threshold(blocks, target):
-    """Independent oracle: scan every candidate, smallest wins ties."""
-    mags = np.abs(np.asarray(blocks)).ravel()
-    best_t, best_d = None, None
-    for t in sorted({0.0, *mags.tolist()}):
-        ratio = (mags > t).sum() / mags.size
-        d = abs(ratio - target)
-        if best_d is None or d < best_d - 1e-18:
-            best_t, best_d = t, d
-    return best_t
+def exhaustive_threshold(coeff_blocks, target_ps):
+    """Reference: sort every magnitude, score every candidate, first minimum wins."""
+    mags = np.abs(np.asarray(coeff_blocks, dtype=np.float64)).reshape(-1)
+    sorted_mags = np.sort(mags)
+    candidates = np.unique(np.concatenate(([0.0], sorted_mags)))
+    # count of |f| > T for each candidate T, via one binary search per candidate
+    above = mags.size - np.searchsorted(sorted_mags, candidates, side="right")
+    distances = np.abs(above / mags.size - target_ps)
+    # argmin returns the first minimum; candidates ascend, so ties pick smaller T
+    return float(candidates[np.argmin(distances)])
+
+
+def assert_bit_equal(coeffs, target):
+    """The linear-time selection returns the exhaustive search's float, bit for bit."""
+    got = solve_threshold(coeffs, target)
+    assert type(got) is float
+    assert got.hex() == exhaustive_threshold(coeffs, target).hex()
 
 
 class TestSolveThreshold:
@@ -101,20 +108,12 @@ class TestSolveThreshold:
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            blocks = rng.standard_normal((3, 4, 4))
-            target = float(rng.uniform(0.01, 1.0))
-            assert solve_threshold(blocks, target) == enumerate_best_threshold(blocks, target)
-
-    def test_returned_distance_minimal(self):
-        rng = np.random.default_rng(12)
-        blocks = rng.standard_normal((4, 4, 4))
-        mags = np.abs(blocks).ravel()
-        target = 0.3
-        chosen = solve_threshold(blocks, target)
-        chosen_d = abs((mags > chosen).sum() / mags.size - target)
-        for cand in [0.0, *mags.tolist()]:
-            assert chosen_d <= abs((mags > cand).sum() / mags.size - target) + 1e-18
+        cases = [(rng.standard_normal((3, 4, 4)), float(rng.uniform(0.01, 1.0))) for _ in range(25)]
+        cases.append((np.random.default_rng(12).standard_normal((4, 4, 4)), 0.3))
+        # 1/49 * 49 rounds below 1, so the count search starts one short of k = 1 (T = 48)
+        cases.append((np.arange(1.0, 50.0), 1 / 49))
+        for blocks, target in cases:
+            assert_bit_equal(blocks, target)
 
     def test_ratio_non_increasing_in_threshold(self):
         rng = np.random.default_rng(13)
@@ -126,18 +125,8 @@ class TestSolveThreshold:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             solve_threshold(np.empty((0, 2, 2)), 0.5)
-
-
-def exhaustive_threshold(coeff_blocks, target_ps):
-    """Reference: sort every magnitude, score every candidate, first minimum wins."""
-    mags = np.abs(np.asarray(coeff_blocks, dtype=np.float64)).reshape(-1)
-    sorted_mags = np.sort(mags)
-    candidates = np.unique(np.concatenate(([0.0], sorted_mags)))
-    # count of |f| > T for each candidate T, via one binary search per candidate
-    above = mags.size - np.searchsorted(sorted_mags, candidates, side="right")
-    distances = np.abs(above / mags.size - target_ps)
-    # argmin returns the first minimum; candidates ascend, so ties pick smaller T
-    return float(candidates[np.argmin(distances)])
+        with pytest.raises(ValueError, match=r"target sparsity ratio must lie in \(0, 1\]"):
+            solve_threshold(self.BLOCK, 0.0)
 
 
 def seeded(draw_values):
@@ -174,18 +163,10 @@ def seeded_texture(seed, h, w):
 
 
 class TestThresholdSelection:
-    """The linear-time selection returns the exhaustive search's float, bit for bit."""
-
-    @staticmethod
-    def assert_bit_equal(coeffs, target):
-        got = solve_threshold(coeffs, target)
-        assert type(got) is float
-        assert got.hex() == exhaustive_threshold(coeffs, target).hex()
-
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), coeffs=COEFFICIENT_SETS)
     def test_equals_exhaustive_search(self, data, coeffs):
-        self.assert_bit_equal(coeffs, data.draw(targets(coeffs.size)))
+        assert_bit_equal(coeffs, data.draw(targets(coeffs.size)))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), image=st.sampled_from([*KINDS, "texture"]),
@@ -196,7 +177,7 @@ class TestThresholdSelection:
         else:
             pixels = synthetic_image(image, block)
         coeffs = dct2_blocks(partition(pixels, block).blocks)
-        self.assert_bit_equal(coeffs, data.draw(targets(coeffs.size)))
+        assert_bit_equal(coeffs, data.draw(targets(coeffs.size)))
 
     def test_ratio_crossing_ties_pick_smaller(self):
         # target 0.375 lies halfway between the ratios 0.5 (T=2) and 0.25 (T=3)
@@ -294,6 +275,8 @@ class TestProfiles:
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
             proportional_shares(np.array([-1.0]), 1)
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            proportional_shares(np.array([1.0]), -1)
 
 
 class TestAnalyze:

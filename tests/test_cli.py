@@ -75,6 +75,13 @@ class TestAllocate:
         rows = (out / "measurements.csv").read_text().splitlines()
         assert all(v == "1024" for row in rows for v in row.split(","))
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "plan.json").mkdir(parents=True)
+        assert run("allocate", "--synthetic", "flat", "--rate", 0.1, "--out", out) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["plan.json"]
+
     def test_curve_override(self, tmp_path):
         out = tmp_path / "out"
         rc = run(
@@ -247,9 +254,11 @@ class TestSolve:
             ({"alpha": 0}, "alpha must lie in (0, 1]"),
             ({"alpha": 1.5}, "alpha must lie in (0, 1]"),
             ({"p": [10**400, 1, 1]}, "problem JSON field 'p': int too large to convert to float"),
+            ({"p": [0.6, float("nan"), 0.1]}, "p must be a non-empty finite vector"),
+            ({"p": [], "r": [], "a": []}, "p must be a non-empty finite vector"),
         ],
         ids=["p-negative", "r-zero", "a-negative", "a-infinite", "lengths", "alpha-zero", "alpha-above-one",
-             "p-overflow"],
+             "p-overflow", "p-nan", "empty"],
     )
     def test_value_checks_exit_two(self, tmp_path, capsys, change, message):
         path = tmp_path / "bad.json"
@@ -359,11 +368,21 @@ class TestImageSource:
 
 
 def replace_everywhere(monkeypatch, module, name, replacement):
-    """Swap a package function in every rate_alloc module that holds it."""
+    """Swap a function in its module and in every rate_alloc module that holds it."""
     original = getattr(module, name)
+    monkeypatch.setattr(module, name, replacement)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "rate_alloc" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, replacement)
+
+
+def forbid(monkeypatch, why, *targets):
+    """Fail the test if any (module, name) function is called."""
+    def forbidden(*args, **kwargs):
+        pytest.fail(why)
+
+    for module, name in targets:
+        replace_everywhere(monkeypatch, module, name, forbidden)
 
 
 class TestOnePass:
@@ -397,10 +416,7 @@ class TestFailFast:
     def test_starved_stages_exit_before_operator(self, command, tmp_path, monkeypatch, capsys):
         from rate_alloc import sensing
 
-        def forbidden(*args, **kwargs):
-            pytest.fail("build_matrix called before the stage-count check")
-
-        replace_everywhere(monkeypatch, sensing, "build_matrix", forbidden)
+        forbid(monkeypatch, "build_matrix called before the stage-count check", (sensing, "build_matrix"))
         rc = run(command, "--synthetic", "checkerboard", "--rate", 0.1, "--block-size", 64,
                  "--stages", 500, "--out", tmp_path / "out")
         assert rc == 2
@@ -412,15 +428,13 @@ class TestFailFast:
     @pytest.mark.parametrize("flags, message", [
         (("--seed", -1), "operator seed -1 must be non-negative"),
         (("--block-size", 128), "block size 128 is above the operator limit of 64"),
+        (("--stages", 0), "at least one stage required"),
     ])
     def test_bad_operator_exits_before_analysis(self, command, flags, message, tmp_path, monkeypatch, capsys):
         from rate_alloc import imaging
 
-        def forbidden(*args, **kwargs):
-            pytest.fail("image analyzed or operator drawn before the operator's inputs were checked")
-
-        replace_everywhere(monkeypatch, imaging, "dct2_blocks", forbidden)
-        monkeypatch.setattr(np.random, "PCG64", forbidden)
+        forbid(monkeypatch, "image analyzed or operator drawn before the operator's inputs were checked",
+               (imaging, "dct2_blocks"), (np.random, "PCG64"))
         rc = run(command, "--synthetic", "checkerboard", "--rate", 0.1, *flags, "--out", tmp_path / "out")
         assert rc == 2
         assert message in capsys.readouterr().err
@@ -432,10 +446,7 @@ class TestFailFast:
     def test_block_size_limit_exits_before_allocating(self, command, source, tmp_path, monkeypatch, capsys):
         from rate_alloc import imaging
 
-        def forbidden(*args, **kwargs):
-            pytest.fail("image transformed before the block size was checked")
-
-        replace_everywhere(monkeypatch, imaging, "dct2_blocks", forbidden)
+        forbid(monkeypatch, "image transformed before the block size was checked", (imaging, "dct2_blocks"))
         (tmp_path / "small.pgm").write_bytes(encode_pgm(Image(np.full((4, 3), 0.5))))
         monkeypatch.chdir(tmp_path)
         rc = run(command, *source, "--rate", 0.1, "--block-size", 1025, "--out", tmp_path / "out")
@@ -452,10 +463,7 @@ class TestFailFast:
     def test_block_size_below_two_named(self, command, source, size, tmp_path, monkeypatch, capsys):
         from rate_alloc import imaging
 
-        def forbidden(*args, **kwargs):
-            pytest.fail("image built or read before the block size was checked")
-
-        replace_everywhere(monkeypatch, imaging, "Image", forbidden)
+        forbid(monkeypatch, "image built or read before the block size was checked", (imaging, "Image"))
         (tmp_path / "small.pgm").write_bytes(encode_pgm(Image(np.full((4, 3), 0.5))))
         monkeypatch.chdir(tmp_path)
         rc = run(command, *source, "--rate", 0.1, "--block-size", size, "--out", tmp_path / "out")
@@ -471,16 +479,17 @@ class TestFailFast:
         (("--rate", 0.005), "sampling rate 0.005 below the curve anchor 0.01"),
         (("--curve", "1,2"), "--curve expects four comma-separated values: a,b,sr1,ps1"),
         (("--curve", "inf,0.0444,0.1,0.005"), "target sparsity ratio nan out of range at rate 0.1"),
-    ], ids=["block-size", "rate-range", "rate-anchor", "curve-arity", "curve-target"])
+        (("--rate", 0.99, "--curve", "78.77,0.5,0.01,0.005"),
+         "target sparsity ratio 2.184600295729254 out of range at rate 0.99"),
+        (("--curve", "78.77,0.0444,0,0.005"), "curve anchor must lie in (0, 1) x (0, 1)"),
+    ], ids=["block-size", "rate-range", "rate-anchor", "curve-arity", "curve-target", "curve-saturated",
+            "curve-anchor"])
     def test_flags_checked_before_image_is_read(self, command, source, flags, message, tmp_path, monkeypatch,
                                                 capsys):
         from rate_alloc import imaging, synthetic
 
-        def forbidden(*args, **kwargs):
-            pytest.fail("image read or built before the flags that need no pixels were checked")
-
-        replace_everywhere(monkeypatch, imaging, "load_pgm", forbidden)
-        replace_everywhere(monkeypatch, synthetic, "synthetic_image", forbidden)
+        forbid(monkeypatch, "image read or built before the flags that need no pixels were checked",
+               (imaging, "load_pgm"), (synthetic, "synthetic_image"))
         rc = run(command, *source, "--rate", 0.1, *flags, "--out", tmp_path / "out")
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -495,11 +504,8 @@ class TestFailFast:
     def test_bad_rate_or_curve_exits_before_dct(self, command, flags, message, tmp_path, monkeypatch, capsys):
         from rate_alloc import imaging
 
-        def forbidden(*args, **kwargs):
-            pytest.fail("image transformed or operator drawn before the rate and curve were checked")
-
-        replace_everywhere(monkeypatch, imaging, "dct2_blocks", forbidden)
-        monkeypatch.setattr(np.random, "PCG64", forbidden)
+        forbid(monkeypatch, "image transformed or operator drawn before the rate and curve were checked",
+               (imaging, "dct2_blocks"), (np.random, "PCG64"))
         rc = run(command, "--synthetic", "checkerboard", *flags, "--out", tmp_path / "out")
         assert rc == 2
         assert message in capsys.readouterr().err

@@ -25,6 +25,7 @@ from rate_alloc.imaging import (
     load_pgm,
     partition,
 )
+from rate_alloc.synthetic import synthetic_image
 
 
 def brute_force_dct2(block):
@@ -53,6 +54,8 @@ class TestImageType:
             Image(np.array([[0.0, 1.5]]))
         with pytest.raises(ValueError):
             Image(np.array([[-0.1, 0.5]]))
+        with pytest.raises(ValueError, match="non-empty 2-D array"):
+            Image(np.empty((0, 3)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
@@ -65,6 +68,16 @@ class TestImageType:
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1.0
         assert (img.height, img.width) == (2, 3)
+
+    def test_unknown_synthetic_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown synthetic kind 'x'"):
+            synthetic_image("x")
+
+
+@pytest.fixture(scope="module")
+def pgm_dir(tmp_path_factory):
+    """One folder that a property test's examples overwrite in turn, not one folder per example."""
+    return tmp_path_factory.mktemp("pgm")
 
 
 SEPARATORS = st.lists(
@@ -157,10 +170,15 @@ class TestPgm:
                 TruncatedPayloadError,
                 "payload truncated at byte 14: expected 1 samples, found 0",
             ),
+            # the header checks are shared by P5
+            (b"P5\n0 3\n255\n", MalformedHeaderError, "invalid dimensions or maxval (0x3, maxval 255)"),
+            (b"P2 1 1 70000 0", MalformedHeaderError, "invalid dimensions or maxval (1x1, maxval 70000)"),
+            (b"P5\n2 2\n255x\x00\x00\x00\x00", MalformedHeaderError,
+             "expected single whitespace after maxval at byte 10"),
         ],
         ids=["letter", "plus", "minus", "truncated", "header-eof", "above-maxval", "huge-sample",
              "huge-header", "long-sample", "long-header", "long-maxval", "limit-header",
-             "separators-only"],
+             "separators-only", "p5-zero-width", "maxval-70000", "p5-no-whitespace"],
     )
     def test_p2_rejected(self, tmp_path, data, error, message):
         path = tmp_path / "bad.pgm"
@@ -172,18 +190,17 @@ class TestPgm:
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), h=st.integers(1, 5), w=st.integers(1, 5), maxval=st.integers(1, 65535))
-    def test_p2_and_p5_load_identically(self, tmp_path_factory, data, h, w, maxval):
+    def test_p2_and_p5_load_identically(self, pgm_dir, data, h, w, maxval):
         samples = data.draw(st.lists(st.integers(0, maxval), min_size=h * w, max_size=h * w))
         fields = [b"P2", *(str(v).encode() for v in (w, h, maxval, *samples))]
         ascii_pgm = b"".join(field + data.draw(SEPARATORS) for field in fields)
         dtype = np.uint8 if maxval <= 255 else np.dtype(">u2")
         binary_pgm = f"P5 {w} {h} {maxval}\n".encode() + np.array(samples, dtype=dtype).tobytes()
-        folder = tmp_path_factory.mktemp("pgm")
-        (folder / "a.pgm").write_bytes(ascii_pgm)
-        (folder / "b.pgm").write_bytes(binary_pgm)
+        (pgm_dir / "a.pgm").write_bytes(ascii_pgm)
+        (pgm_dir / "b.pgm").write_bytes(binary_pgm)
         expected = np.array(samples, dtype=np.float64).reshape(h, w) / maxval
-        assert np.array_equal(load_pgm(folder / "a.pgm").pixels, expected)
-        assert np.array_equal(load_pgm(folder / "b.pgm").pixels, expected)
+        assert np.array_equal(load_pgm(pgm_dir / "a.pgm").pixels, expected)
+        assert np.array_equal(load_pgm(pgm_dir / "b.pgm").pixels, expected)
 
     def test_unsupported_magic(self, tmp_path):
         path = tmp_path / "p6.pgm"
@@ -346,9 +363,9 @@ class TestBulkP2:
 
     @settings(max_examples=300, deadline=None)
     @given(data=small_p2_files())
-    def test_bulk_and_field_reader_agree(self, tmp_path_factory, data):
+    def test_bulk_and_field_reader_agree(self, pgm_dir, data):
         # the reference is load_pgm with the bulk decoder off: the field reader alone
-        path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+        path = pgm_dir / "f.pgm"
         path.write_bytes(data)
         got = outcome(path)
         with mock.patch.object(imaging, "_bulk_samples", return_value=None):
@@ -430,6 +447,11 @@ class TestPartition:
     def test_small_block_size_rejected(self):
         with pytest.raises(ValueError):
             partition(Image(np.zeros((4, 4))), 1)
+        # a grid built directly checks its padding and its block array
+        with pytest.raises(ValueError, match="padding must be smaller than the block size"):
+            BlockGrid(2, 1, 1, 2, 0, np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="block array shape inconsistent with grid"):
+            BlockGrid(2, 1, 2, 0, 0, np.zeros((1, 2, 2)))
 
     def test_assemble_clamps(self):
         blocks = np.full((1, 2, 2), 1.2)
