@@ -72,19 +72,51 @@ def target_sparsity_ratio(s_r: float, params: CurveParams = DEFAULT_CURVE) -> fl
     return p_s
 
 
+# sets of up to this many magnitudes are searched whole, without a sample; tests lower it
+_SAMPLE_FLOOR = 4096
+# fractional part of the golden ratio
+_PHI = 0.6180339887498949
+
+
+def _sample_positions(n: int) -> np.ndarray:
+    """Where the threshold search samples n magnitudes: floor(frac(i * phi) * n) for i < m.
+
+    m is about 2 n^(2/3), and 0 when that would read every magnitude.  The
+    positions form a low-discrepancy sequence, spread evenly over the array
+    and unaligned with its block layout.
+    """
+    m = max(_SAMPLE_FLOOR, int(2 * n ** (2 / 3)))
+    return (np.arange(m if m < n else 0) * _PHI % 1.0 * n).astype(np.intp)
+
+
+def _window_pass(flat: np.ndarray, a: float, b: float) -> tuple[int, np.ndarray]:
+    """One chunked pass: the count of magnitudes below a, and a fresh array of those in [a, b]."""
+    below, window = 0, []
+    for part in _chunks(flat.size, flat.itemsize):
+        mags = np.abs(flat[part])
+        outside = mags < a
+        below += np.count_nonzero(outside)
+        outside |= mags > b
+        window.append(mags[~outside])
+    return below, np.concatenate(window)
+
+
 def solve_threshold(coeff_blocks, target_ps: float) -> float:
     """The threshold whose sparsity ratio is nearest the target.
 
     Candidates are 0 plus every distinct coefficient magnitude; exact ties
     in |ratio - target| resolve to the smaller threshold.  The result is
     the threshold an exhaustive search over all candidates would pick,
-    found by linear-time selection instead.  Coefficients must not be NaN.
+    found by selection inside a window of magnitudes instead: a sample
+    places the window, one chunked pass gathers it, and a window that
+    misses the candidates around the target is widened and gathered again.
+    The sample changes only the cost, never the result.  Coefficients must
+    not be NaN.
     """
     if not (0 < target_ps <= 1):
         raise ValueError("target sparsity ratio must lie in (0, 1]")
-    # a fresh array, so the in-place partition below never touches the caller's data
-    mags = np.abs(np.asarray(coeff_blocks, dtype=np.float64)).reshape(-1)
-    n = mags.size
+    flat = np.asarray(coeff_blocks, dtype=np.float64).reshape(-1)
+    n = flat.size
     if n == 0:
         raise ValueError("empty coefficient set")
     # The ratio above/n falls as T rises, so |ratio - target| falls while the
@@ -103,13 +135,35 @@ def solve_threshold(coeff_blocks, target_ps: float) -> float:
     # hi, the (n - k)-th smallest magnitude, is the smallest candidate with at
     # most k magnitudes above it; lo, the candidate just below it, has more
     rank = n - k - 1
-    mags.partition(rank)
-    hi = mags[rank]
+    # The window [a, b] lies around the rank's place among m sampled magnitudes.
+    # It holds hi iff the magnitudes below a leave the rank inside it, and lo
+    # too unless hi is its smallest value and some magnitude lies below a.
+    # Short of both, the margin grows until the window is the whole range
+    # [0, inf], which holds both.  Without a sample the first window is that.
+    sample = np.abs(flat[_sample_positions(n)])
+    m = sample.size
+    centre, margin = rank * m / n, 1.0 + 4.0 * math.sqrt(m)
+    while True:
+        first, last = math.floor(centre - margin), math.ceil(centre + margin)
+        kth = [i for i in (first, last) if 0 <= i < m]
+        if kth:
+            sample.partition(kth)
+        below, window = _window_pass(flat, sample[first] if first >= 0 else 0.0,
+                                     sample[last] if last < m else math.inf)
+        at = rank - below
+        if 0 <= at < window.size:
+            window.partition(at)
+            hi = window[at]
+            under = window[:at] < hi
+            if hi == 0.0 or below == 0 or under.any():
+                break
+        margin *= 4.0
     if hi == 0.0:  # no candidate lies below 0
         return 0.0
-    below = mags[:rank] < hi
-    lo = mags[:rank].max(where=below, initial=0.0)
-    above = np.array([n - np.count_nonzero(below), np.count_nonzero(mags[rank + 1:] > hi)])
+    lo = window[:at].max(where=under, initial=0.0)
+    # the magnitudes not gathered and not below a lie above b, so above hi
+    over = np.count_nonzero(window[at + 1:] > hi) + n - below - window.size
+    above = np.array([n - below - np.count_nonzero(under), over])
     distances = np.abs(above / n - target)
     # ties pick the smaller threshold, as argmin over ascending candidates does
     return float(hi if distances[1] < distances[0] else lo)

@@ -92,8 +92,11 @@ def build_matrix(block_size: int, seed: int) -> MeasurementMatrix:
     rows = q.T
     # sign convention: first nonzero entry of each row positive
     first = rows[np.arange(dim), np.argmax(rows != 0, axis=1)]
-    rows[first < 0] *= -1.0
-    gram_err = np.abs(rows @ rows.T - np.eye(dim)).max()
+    rows *= np.where(first < 0, -1.0, 1.0)[:, None]
+    # |rows rows^T - I|, formed in the one Gram product
+    gram = rows @ rows.T
+    gram.flat[:: dim + 1] -= 1.0
+    gram_err = np.abs(gram, out=gram).max()
     if gram_err > 1e-9:
         raise RuntimeError(f"operator for seed {seed} failed its Gram check: "
                            f"error {gram_err:.3g} > 1e-9")
@@ -185,7 +188,8 @@ def psnr(reference: Image, estimate: Image) -> float:
     """Peak signal-to-noise ratio in dB for unit-range images (inf if equal)."""
     if reference.pixels.shape != estimate.pixels.shape:
         raise ValueError("images must share dimensions")
-    mse = float(np.mean((reference.pixels - estimate.pixels) ** 2))
+    diff = reference.pixels - estimate.pixels
+    mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)

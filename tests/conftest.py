@@ -1,6 +1,9 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
+from rate_alloc import sensing
 from rate_alloc.analysis import bounds_profile, sparsity_profile
 from rate_alloc.kl_solver import KlAllocProblem
 from rate_alloc.sensing import build_matrix
@@ -50,6 +53,16 @@ def bounds_of(coeff_blocks, threshold):
     return bounds_profile(k, coeffs.shape[-1] * coeffs.shape[-2])
 
 
+# operators are read-only records, so one build per (block size, seed) serves the session
+operator = cache(build_matrix)
+
+
 @pytest.fixture(scope="session")
 def matrix32():
-    return build_matrix(32, seed=1)
+    return operator(32, 1)
+
+
+@pytest.fixture
+def cached_operator(monkeypatch):
+    """Commands run under this fixture reuse the session's operators instead of drawing anew."""
+    monkeypatch.setattr(sensing, "build_matrix", operator)

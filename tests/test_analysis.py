@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bounds_of
+from rate_alloc import analysis
 from rate_alloc.analysis import (
     Analysis,
     CurveParams,
@@ -167,6 +168,37 @@ class TestThresholdSelection:
     @given(data=st.data(), coeffs=COEFFICIENT_SETS)
     def test_equals_exhaustive_search(self, data, coeffs):
         assert_bit_equal(coeffs, data.draw(targets(coeffs.size)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), coeffs=COEFFICIENT_SETS)
+    def test_sampled_window_equals_exhaustive_search(self, data, coeffs):
+        # with the floor at 1, sets of 8 or more magnitudes are searched through a sampled window
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_SAMPLE_FLOOR", 1)
+            assert_bit_equal(coeffs, data.draw(targets(coeffs.size)))
+
+    @pytest.mark.parametrize("case, target", [
+        ("rank below window", 0.5),
+        ("rank above window", 0.9),
+        ("window starts at hi", 0.5),
+    ])
+    def test_missed_window_is_widened(self, case, target, monkeypatch):
+        n = 20_000
+        positions = analysis._sample_positions(n)
+        rng = np.random.default_rng(19)
+        if case == "window starts at hi":
+            # the sample's ranks around the target all read 3; the ones below them are lo
+            coeffs = np.where(rng.random(n) < 0.3, 1.0, 3.0)
+        else:
+            # the sampled magnitudes lie on one side of all the others
+            sampled, rest = (10.0, 1.0) if case == "rank below window" else (1.0, 10.0)
+            coeffs = rest + rng.random(n)
+            coeffs[positions] = sampled + rng.random(positions.size)
+        window_pass, passes = analysis._window_pass, []
+        monkeypatch.setattr(analysis, "_window_pass",
+                            lambda *args: passes.append(args[1:]) or window_pass(*args))
+        assert_bit_equal(coeffs, target)
+        assert len(passes) > 1
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), image=st.sampled_from([*KINDS, "texture"]),

@@ -131,6 +131,13 @@ class TestPeakMemory:
         peak = peak_bytes(sparsity_profile, coeffs, 0.01)
         assert peak <= len(coeffs) * 8 + imaging._CHUNK + SLACK
 
+    def test_threshold_search_copies_nothing_image_sized(self):
+        for layout in SCENES:
+            coeffs = make_scene(layout)[2]
+            peak = peak_bytes(solve_threshold, coeffs, 0.1)
+            # one chunk of magnitudes, the sample and the gathered window, far below one image
+            assert peak < coeffs.nbytes // 2, layout
+
     def test_assemble_copies_once(self):
         for layout in SCENES:
             image, grid = make_scene(layout)[:2]

@@ -142,7 +142,7 @@ class TestOutputPermissions:
 
 
 class TestSimulate:
-    def test_outputs_and_metadata(self, tmp_path, capsys):
+    def test_outputs_and_metadata(self, tmp_path, capsys, cached_operator):
         out = tmp_path / "sim"
         rc = run(
             "simulate", "--synthetic", "checkerboard", "--rate", 0.1,
@@ -165,7 +165,7 @@ class TestSimulate:
             assert stage["stage"] == t
             assert stage["beta"] == 1.0 - stage["alpha"]
 
-    def test_single_stage_matches_uniform_allocation(self, tmp_path):
+    def test_single_stage_matches_uniform_allocation(self, tmp_path, cached_operator):
         out = tmp_path / "sim1"
         rc = run(
             "simulate", "--synthetic", "gradient", "--rate", 0.1,
@@ -304,7 +304,7 @@ class TestSolve:
 
 
 class TestCompare:
-    def test_adaptive_kl_not_worse(self, tmp_path, capsys):
+    def test_adaptive_kl_not_worse(self, tmp_path, capsys, cached_operator):
         out = tmp_path / "cmp"
         rc = run("compare", "--synthetic", "checkerboard", "--rate", 0.1,
                  "--stages", 2, "--seed", 1, "--out", out)
@@ -316,7 +316,7 @@ class TestCompare:
         budgets = {row["budget"] for row in report}
         assert len(budgets) == 1
 
-    def test_flat_image_psnrs_close(self, tmp_path):
+    def test_flat_image_psnrs_close(self, tmp_path, cached_operator):
         out = tmp_path / "cmp"
         rc = run("compare", "--synthetic", "flat", "--rate", 0.1,
                  "--stages", 2, "--seed", 1, "--out", out)
@@ -327,7 +327,7 @@ class TestCompare:
 
 
 class TestSharedSensing:
-    def test_compare_multi_row_is_the_simulation(self, tmp_path):
+    def test_compare_multi_row_is_the_simulation(self, tmp_path, cached_operator):
         args = ["--synthetic", "checkerboard", "--rate", 0.1, "--stages", 3, "--seed", 4,
                 "--predictor", "energy", "--out"]
         assert run("simulate", *args, tmp_path / "sim") == 0

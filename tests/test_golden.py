@@ -13,12 +13,12 @@ is a change in the program's output: report it, never re-record the file.
 import hashlib
 import json
 import math
-from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import operator
 from rate_alloc import cli, sensing
 from rate_alloc.imaging import Image, encode_pgm
 from rate_alloc.multistage import PREDICTORS, run_simulation
@@ -45,19 +45,14 @@ def image_for(name: str, block: int) -> Image:
     return synthetic_image(name, block) if name in KINDS else texture(name)
 
 
-@cache
-def matrix(block: int):
-    return sensing.build_matrix(block, 1)
-
-
 def simulation_record(name: str, block: int, stages: int, predictor: str, rate: float) -> dict:
     """Everything the golden file pins for one simulation run."""
     image = image_for(name, block)
     try:
-        plan = run_simulation(image, block, rate, stages, PREDICTORS[predictor](), matrix(block))
+        plan = run_simulation(image, block, rate, stages, PREDICTORS[predictor](), operator(block, 1))
     except ValueError as exc:
         return {"rejected": "block count" in str(exc)}
-    recon = sensing.reconstruct_plan(plan, plan.records, matrix(block), image.height, image.width)
+    recon = sensing.reconstruct_plan(plan, plan.records, operator(block, 1), image.height, image.width)
     quality = sensing.psnr(image, recon)
     return {
         "stage_sha256": [counts_sha256(s.stage_M) for s in plan.stages],
@@ -172,12 +167,6 @@ def test_simulations(name):
                     assert_close(got[0], want[0], f"{key} stage {t} cross-entropy")
                     assert abs(got[1] - want[1]) <= RTOL * abs(want[0]), f"{key} stage {t} kl"
             assert_close(actual, expected, key)
-
-
-@pytest.fixture
-def cached_operator(monkeypatch):
-    """`compare` builds its operator per call; reuse one per block size."""
-    monkeypatch.setattr(sensing, "build_matrix", cache(sensing.build_matrix))
 
 
 @pytest.mark.parametrize("name", IMAGES)
