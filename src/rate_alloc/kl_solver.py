@@ -13,13 +13,12 @@ multiplier mu:
     q_i(mu) = clamp(mu * p_i - beta * r_i / alpha, 0, a_i)
 
 and the root of Q(mu) = sum_i q_i(mu) = 1 pins mu.  Q is piecewise linear
-and non-decreasing, so Newton's method lands on the exact root, a fixed
-point of the Newton map where the solver stops, as soon as an iterate
-shares its linear segment with the root; a Newton step that degenerates
-or escapes the known bracket is replaced by bisection.
-The bracket updates are justified by the step direction itself: an
-increasing step means the current point lies below the root, a decreasing
-step means it lies above (and this holds in both directions).
+and non-decreasing, with kinks where a coordinate leaves its lower clamp
+(mu = offset_i / p_i) or reaches its cap (mu = (a_i + offset_i) / p_i).
+So the root is found as in the continuous quadratic knapsack (Helgason,
+Kennington & Lall, Math. Program. 1980; Kiwiel, Math. Program. 2008): a
+binary search over the sorted kinks finds the linear segment that holds
+it, and one Newton step solves that segment's line exactly.
 
 :func:`oracle_solve` is a deliberately naive pure-bisection solver kept
 as an independent cross-check, and :func:`kkt_residual` re-derives the
@@ -44,10 +43,6 @@ STATUS_BISECTION = "converged-with-bisection"
 
 class InfeasibleProblemError(Exception):
     """The caps cannot absorb the unit budget: sum of a_i over p_i > 0 is < 1."""
-
-
-class SolverInternalError(RuntimeError):
-    """Iteration cap exceeded; indicates a solver bug, not a bad problem."""
 
 
 def _as_ratio(vec, name: str) -> np.ndarray:
@@ -119,7 +114,6 @@ class KlAllocSolution:
     q: np.ndarray
     mu_star: float
     trace: tuple  # of (mu, step kind)
-    status: str
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
@@ -129,6 +123,11 @@ class KlAllocSolution:
     @property
     def iterations(self) -> int:
         return len(self.trace)
+
+    @property
+    def status(self) -> str:
+        """converged-by-newton if the last step solved a segment's line, else converged-with-bisection."""
+        return STATUS_NEWTON if self.trace and self.trace[-1][1] == NEWTON else STATUS_BISECTION
 
 
 def q_of_mu(problem: KlAllocProblem, mu: float) -> np.ndarray:
@@ -174,60 +173,39 @@ def _upper_bracket(problem: KlAllocProblem) -> float:
     return float(((problem.a[pos] + problem.offsets[pos]) / problem.p[pos]).max())
 
 
-def _solution(problem: KlAllocProblem, mu: float, trace: list, status: str) -> KlAllocSolution:
-    return KlAllocSolution(q=q_of_mu(problem, mu), mu_star=float(mu), trace=tuple(trace), status=status)
+def _solution(problem: KlAllocProblem, mu: float, trace: list) -> KlAllocSolution:
+    return KlAllocSolution(q=q_of_mu(problem, mu), mu_star=float(mu), trace=tuple(trace))
 
 
 def solve(problem: KlAllocProblem) -> KlAllocSolution:
-    """Find q and the multiplier root via Newton with a bisection fallback.
+    """Find q and the multiplier root by a breakpoint search and one Newton step.
 
-    Every iterate tightens a [lo, hi] bracket; a degenerate Newton step, or
-    one escaping the bracket, is replaced by the bracket midpoint.  Stops at
-    a fixed point of the Newton map (converged-by-newton if no bisection
-    step was taken), on a flat segment where Q(mu) is exactly 1, or when
-    the bracket is exhausted at float resolution.
+    A binary search over the sorted distinct kinks of the positive-weight
+    coordinates finds the first kink where Q >= 1; the largest kink caps
+    every such coordinate, so one always qualifies.  The root lies on the
+    segment that ends there, and a Newton step from its midpoint solves
+    that segment's line.  A degenerate step means Q is flat at 1 on the
+    segment, where every mu gives the same q, so the midpoint is returned.
+    The trace holds each probed kink, then the Newton root if one was taken.
     """
-    hi0 = _upper_bracket(problem)
-    lo, hi = 0.0, hi0
-    eps = 1e-12 * hi0
-    if problem.beta == 0.0:
-        mu = hi0 / 2.0
-    else:
-        mu = min(max(problem.beta / problem.alpha, lo + eps), hi - eps)
-
+    pos = problem.p > 0
+    p, offsets = problem.p[pos], problem.offsets[pos]
+    kinks = np.unique(np.concatenate([offsets / p, (problem.a[pos] + offsets) / p]))
+    lo, hi = 0, kinks.size - 1
     trace = []
-    cap = 10 * problem.size + 2200  # bisection alone exhausts any double bracket in ~2,100 halvings
-    for _ in range(cap):
-        candidate = _newton(problem, mu)
-        if candidate is not None:
-            if candidate == mu:
-                # fixed point: mu already solves its own segment's line
-                bisected = any(kind == BISECTION for _, kind in trace)
-                return _solution(problem, mu, trace, STATUS_BISECTION if bisected else STATUS_NEWTON)
-            if candidate > mu:
-                lo = max(lo, mu)
-            else:
-                hi = min(hi, mu)
-            if lo < candidate < hi:
-                trace.append((candidate, NEWTON))
-                mu = candidate
-                continue
+    while lo < hi:
+        mid = (lo + hi) // 2
+        trace.append((float(kinks[mid]), BISECTION))
+        if q_total(problem, kinks[mid]) >= 1.0:
+            hi = mid
         else:
-            total = q_total(problem, mu)
-            if total < 1.0:
-                lo = max(lo, mu)
-            elif total > 1.0:
-                hi = min(hi, mu)
-            else:
-                # flat segment sitting exactly on Q = 1
-                return _solution(problem, mu, trace, STATUS_BISECTION)
-        mid = 0.5 * (lo + hi)
-        trace.append((mid, BISECTION))
-        if not (lo < mid < hi):
-            # bracket exhausted at float resolution: mid is the root's kink
-            return _solution(problem, mid, trace, STATUS_BISECTION)
-        mu = mid
-    raise SolverInternalError(f"no convergence within {cap} iterations")
+            lo = mid + 1
+    mu = 0.5 * ((kinks[lo - 1] if lo else 0.0) + kinks[lo])
+    root = _newton(problem, mu)
+    if root is not None:
+        trace.append((root, NEWTON))
+        mu = root
+    return _solution(problem, mu, trace)
 
 
 def oracle_solve(problem: KlAllocProblem) -> KlAllocSolution:
@@ -240,7 +218,7 @@ def oracle_solve(problem: KlAllocProblem) -> KlAllocSolution:
             lo = mid
         else:
             hi = mid
-    return _solution(problem, mid, trace, STATUS_BISECTION)
+    return _solution(problem, mid, trace)
 
 
 def kkt_residual(problem: KlAllocProblem, q: np.ndarray, mu_star: float) -> float:

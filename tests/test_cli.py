@@ -212,9 +212,7 @@ class TestSolve:
             sol = real(problem)
             wrong = sol.q.copy()
             wrong[0] += 0.1
-            return kl_solver.KlAllocSolution(
-                q=wrong, mu_star=sol.mu_star, trace=sol.trace, status=sol.status,
-            )
+            return kl_solver.KlAllocSolution(q=wrong, mu_star=sol.mu_star, trace=sol.trace)
 
         monkeypatch.setattr(kl_solver, "oracle_solve", skewed)
         assert run("solve", path, "--verify") == 3
@@ -235,7 +233,7 @@ class TestSolve:
         assert doc["q"] == pytest.approx([0.25, 0.75], abs=1e-12)
 
     def test_wide_bracket_converges_and_verifies(self, tmp_path, capsys):
-        # the upper bracket is ~1e206 and the root 1.5: ~640 bisection steps apart
+        # the largest kink is ~1e206 and the root 1.5: the oracle's bisection takes ~640 halvings
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"p": [1, 1e-200], "r": [0.5, 0.5], "alpha": 0.5, "a": [1e6, 1e6]}))
         assert run("solve", path) == 0
@@ -441,21 +439,6 @@ class TestFailFast:
 
     @pytest.mark.parametrize("command, source", [
         ("analyze", ("--synthetic", "flat")),
-        ("allocate", ("--image", "small.pgm")),
-    ])
-    def test_block_size_limit_exits_before_allocating(self, command, source, tmp_path, monkeypatch, capsys):
-        from rate_alloc import imaging
-
-        forbid(monkeypatch, "image transformed before the block size was checked", (imaging, "dct2_blocks"))
-        (tmp_path / "small.pgm").write_bytes(encode_pgm(Image(np.full((4, 3), 0.5))))
-        monkeypatch.chdir(tmp_path)
-        rc = run(command, *source, "--rate", 0.1, "--block-size", 1025, "--out", tmp_path / "out")
-        assert rc == 2
-        assert "block size 1025 is above the limit of 1024" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command, source", [
-        ("analyze", ("--synthetic", "flat")),
         ("simulate", ("--synthetic", "checkerboard")),
         ("allocate", ("--image", "small.pgm")),
     ])
@@ -493,20 +476,4 @@ class TestFailFast:
         rc = run(command, *source, "--rate", 0.1, *flags, "--out", tmp_path / "out")
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["analyze", "allocate", "simulate", "compare"])
-    @pytest.mark.parametrize("flags, message", [
-        (("--rate", 0.005), "below the curve anchor"),
-        (("--rate", 0.99, "--curve", "78.77,0.5,0.01,0.005"), "out of range"),
-        (("--rate", 0.1, "--curve", "inf,0.0444,0.1,0.005"), "out of range"),
-    ])
-    def test_bad_rate_or_curve_exits_before_dct(self, command, flags, message, tmp_path, monkeypatch, capsys):
-        from rate_alloc import imaging
-
-        forbid(monkeypatch, "image transformed or operator drawn before the rate and curve were checked",
-               (imaging, "dct2_blocks"), (np.random, "PCG64"))
-        rc = run(command, "--synthetic", "checkerboard", *flags, "--out", tmp_path / "out")
-        assert rc == 2
-        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

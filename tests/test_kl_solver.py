@@ -13,7 +13,6 @@ from rate_alloc.kl_solver import (
     InfeasibleProblemError,
     KlAllocProblem,
     STATUS_BISECTION,
-    STATUS_NEWTON,
     _newton,
     _segments,
     kkt_residual,
@@ -204,30 +203,14 @@ class TestSolve:
             sol = solve(prob)
             assert np.array_equal(sol.q, q_of_mu(prob, sol.mu_star))
 
-    def test_newton_termination_is_exact(self):
-        rng = np.random.default_rng(26)
-        seen = 0
-        for _ in range(200):
-            prob = random_problem(rng)
-            sol = solve(prob)
-            if sol.status == STATUS_NEWTON:
-                seen += 1
-                assert abs(q_total(prob, sol.mu_star) - 1.0) <= 1e-12
-                assert _newton(prob, sol.mu_star) == sol.mu_star
-                assert all(kind == "newton" for _, kind in sol.trace)
-        assert seen > 50  # the pure-Newton path must be common
-
-    def test_control_flow_pinned(self):
-        # statuses and step kinds of a fixed corpus, 73 of whose solves take a
-        # bisection step; the digest is that of the earlier clamp-code loop's runs
+    def test_solutions_pinned(self):
+        # q and mu bytes of a fixed corpus, equal to those of the earlier guarded newton loop
         rng = np.random.default_rng(35)
-        flow = []
+        digest = hashlib.sha256()
         for _ in range(400):
             sol = solve(random_problem(rng))
-            flow.append([sol.status, [kind for _, kind in sol.trace]])
-        assert sum("bisection" in kinds for _, kinds in flow) == 73
-        digest = hashlib.sha256(json.dumps(flow).encode()).hexdigest()
-        assert digest == "b57e4559988dacf8f81090692294ba8bf0f66cc8da718e4ba6de11c5dc67791e"
+            digest.update(sol.q.tobytes() + np.float64(sol.mu_star).tobytes())
+        assert digest.hexdigest() == "e97e5e526b3bbba369ee71173577de2c953a8a19d8ac6dbf8d0e4e21316df688"
 
     def test_flat_segment_root_matches_oracle(self):
         # caps sum to exactly 1: Q plateaus at 1, any mu on the plateau works
@@ -238,11 +221,12 @@ class TestSolve:
         assert abs(sol.q.sum() - 1.0) <= 1e-10
 
     def test_flat_segment_exit_pinned(self):
-        # the start mu = beta / alpha = 9 caps both heavy coordinates: Q(9) is exactly 1, flat
+        # both heavy coordinates cap at mu ~ 1.311, and Q is exactly 1 from there up to the kink at 88.2
         prob = KlAllocProblem(p=[0.45, 0.45, 0.1], r=[0.01, 0.01, 0.98], alpha=0.1, a=[0.5, 0.5, 1.0])
         sol = solve(prob)
         assert sol.q.tolist() == [0.5, 0.5, 0.0]
-        assert (sol.mu_star, sol.trace, sol.status) == (9.0, (), STATUS_BISECTION)
+        assert q_total(prob, sol.mu_star) == 1.0
+        assert sol.status == STATUS_BISECTION
 
     def test_arrays_copied_from_caller(self):
         p, r, a = np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.ones(2)
@@ -339,11 +323,11 @@ class TestHardRegime:
         sol = solve(prob)
         assert np.abs(sol.q - oracle_solve(prob).q).max() <= 1e-8
         assert kkt_residual(prob, sol.q, sol.mu_star) <= 1e-8
-        assert sol.iterations <= 10 * n + 100  # narrow brackets: far below solve()'s cap of 10n + 2200
+        assert sol.iterations <= math.ceil(math.log2(2 * n)) + 1
 
 
 class TestWideBracket:
-    """Weights spanning 300 decades, so the upper bracket lies up to ~1e300 above the root."""
+    """Weights spanning 300 decades, so the largest kink lies up to ~1e300 above the root."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -360,7 +344,7 @@ class TestWideBracket:
         sol = solve(prob)
         assert np.abs(sol.q - oracle_solve(prob).q).max() <= 1e-8
         assert kkt_residual(prob, sol.q, sol.mu_star) <= 1e-8
-        assert sol.iterations <= 10 * n + 2200
+        assert sol.iterations <= math.ceil(math.log2(2 * n)) + 1
 
 
 class TestLemmaOneProperty:
@@ -392,24 +376,6 @@ class TestLemmaOneProperty:
         for mu in (2.5, 2.7, 2.9):
             if _segment_sets(prob, mu) == root_sets:
                 assert _newton(prob, mu) == pytest.approx(root, abs=1e-13)
-
-    def test_degenerate_rate_near_initialization(self):
-        rng = np.random.default_rng(31)
-        sampled = degenerate = 0
-        for _ in range(400):
-            prob = random_problem(rng)
-            if prob.beta == 0.0:
-                continue
-            anchor = prob.beta / prob.alpha
-            for _ in range(5):
-                mu = anchor * float(rng.uniform(0.9, 1.1))
-                if mu <= 0:
-                    continue
-                sampled += 1
-                if _newton(prob, mu) is None:
-                    degenerate += 1
-        assert sampled > 1000
-        assert degenerate / sampled < 0.01
 
 
 class TestKktResidual:
