@@ -2,8 +2,9 @@
 
 Pixel intensities live in [0, 1].  Images are split into non-overlapping
 B x B blocks, zero-padding the bottom/right edges when the dimensions are
-not multiples of B.  All types are immutable after construction and every
-function here is pure, so everything is safe to share across threads.
+not multiples of B; the blocks are views of the (padded) image.  All types
+are immutable after construction and every function here is pure, so
+everything is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,17 @@ def _chunks(count: int, item_bytes: int):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
+def _grid_chunks(rows: int, cols: int, item_bytes: int):
+    """(row slice, column slice) pairs covering a rows x cols grid of items, as _chunks does.
+
+    A chunk is whole grid rows, or part of one row when a row alone is larger.
+    """
+    step = max(1, _CHUNK // item_bytes)
+    tall = max(1, step // max(cols, 1))  # grid rows per chunk
+    return ((slice(r, r + tall), slice(c, c + step))
+            for r in range(0, rows, tall) for c in range(0, cols, step))
+
+
 @dataclass(frozen=True)
 class Image:
     """A grayscale image: 2-D row-major intensities in [0, 1]."""
@@ -76,23 +88,43 @@ class Image:
 
 @dataclass(frozen=True)
 class BlockGrid:
-    """An image chopped into B x B blocks, row-major over the grid."""
+    """An image cut into B x B blocks, row-major over the grid.
+
+    `pixels` is the image zero-padded to whole blocks; the blocks are views of it.
+    """
 
     block_size: int
     rows: int
     cols: int
     pad_bottom: int
     pad_right: int
-    blocks: np.ndarray  # shape (rows * cols, B, B)
+    pixels: np.ndarray  # shape (rows * B, cols * B)
 
     def __post_init__(self):
         b = self.block_size
         if not (0 <= self.pad_bottom < b and 0 <= self.pad_right < b):
             raise ValueError("padding must be smaller than the block size")
-        blocks = np.asarray(self.blocks, dtype=np.float64)
-        if blocks.shape != (self.rows * self.cols, b, b):
-            raise ValueError("block array shape inconsistent with grid")
-        object.__setattr__(self, "blocks", _frozen(blocks))
+        pixels = np.asarray(self.pixels, dtype=np.float64)
+        if pixels.shape != (self.rows * b, self.cols * b):
+            raise ValueError("pixel array shape inconsistent with grid")
+        object.__setattr__(self, "pixels", _frozen(pixels))
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The read-only (rows, cols, B, B) view of the pixels, block by block."""
+        b = self.block_size
+        return self.pixels.reshape(self.rows, b, self.cols, b).swapaxes(1, 2)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Each block as one contiguous row, (rows * cols, B * B): a copy made on first use.
+
+        It is kept while the grid lives, so sampling one grid again copies
+        nothing.  Sampling multiplies every block in one product, which needs
+        each block as one row; a product per grid row or per chunk can round
+        differently.
+        """
+        return _frozen(self.blocks.reshape(self.block_count, -1))
 
     @property
     def block_count(self) -> int:
@@ -134,21 +166,21 @@ def _spans(size: int, b: int) -> list:
 
 
 def partition(image: Image, block_size: int) -> BlockGrid:
-    """Split an image into B x B blocks, zero-padding the bottom/right edges."""
+    """Cut an image into B x B blocks, zero-padding the bottom/right edges.
+
+    An image of whole blocks is not copied: the grid holds its pixels.
+    """
     if block_size < 2:
         raise ValueError("block size must be at least 2")
     _check_block_size(block_size)
     b = block_size
     h, w = image.height, image.width
     rows, cols = -(-h // b), -(-w // b)
-    # one copy into block order; only a padded grid needs the zeros
-    blocks = (np.zeros if rows * b > h or cols * b > w else np.empty)((rows * cols, b, b))
-    by_row = blocks.reshape(rows, cols, b, b).swapaxes(1, 2)  # (rows, B, cols, B) view
-    for (row, dy), ys in _spans(h, b):
-        for (col, dx), xs in _spans(w, b):
-            part = by_row[row, dy, col, dx]
-            part[...] = image.pixels[ys, xs].reshape(part.shape)
-    return BlockGrid(b, rows, cols, rows * b - h, cols * b - w, blocks)
+    pixels = image.pixels
+    if rows * b > h or cols * b > w:
+        pixels = np.zeros((rows * b, cols * b))
+        pixels[:h, :w] = image.pixels
+    return BlockGrid(b, rows, cols, rows * b - h, cols * b - w, pixels)
 
 
 def _stitch(block_rows, b: int, height: int, width: int) -> Image:
@@ -168,10 +200,9 @@ def _stitch(block_rows, b: int, height: int, width: int) -> Image:
 
 
 def assemble(grid: BlockGrid) -> Image:
-    """Inverse of :func:`partition`: stitch blocks, crop the grid's padding, clamp to [0, 1]."""
-    b = grid.block_size
-    return _stitch(grid.blocks.reshape(grid.rows, grid.cols, b, b), b,
-                   grid.padded_height - grid.pad_bottom, grid.padded_width - grid.pad_right)
+    """Inverse of :func:`partition`: crop the grid's padding, clamp to [0, 1]."""
+    h, w = grid.padded_height - grid.pad_bottom, grid.padded_width - grid.pad_right
+    return Image(np.clip(grid.pixels[:h, :w], 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +220,24 @@ def dct_matrix(size: int) -> np.ndarray:
 
 
 def dct2_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II, M @ X @ M.T with M = dct_matrix(B), of each block X of (n, B, B)."""
+    """Orthonormal 2-D DCT-II, M @ X @ M.T with M = dct_matrix(B), of each X of a (..., B, B) stack.
+
+    Returns the (n, B, B) coefficients, blocks in C order of the leading axes.
+    Each block is one product of its own, so a strided view such as
+    `BlockGrid.blocks` is read in place, with the bits of a contiguous copy.
+    """
     blocks = np.asarray(blocks, dtype=np.float64)
-    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-        raise ValueError(f"blocks of shape {blocks.shape} are not an (n, B, B) stack")
+    if blocks.ndim < 3 or blocks.shape[-1] != blocks.shape[-2]:
+        raise ValueError(f"blocks of shape {blocks.shape} are not a (..., B, B) stack")
     b = blocks.shape[-1]
     m = dct_matrix(b)
-    out = np.empty(blocks.shape)
+    # (rows, cols, B, B): a plain (n, B, B) stack is one row of n blocks
+    by_row = blocks.reshape(math.prod(blocks.shape[:-3]), *blocks.shape[-3:])
+    out = np.empty(by_row.shape)
     # chunk by chunk, the same per-block products as one m @ blocks @ m.T
-    for part in _chunks(len(blocks), b * b * blocks.itemsize):
-        np.matmul(m @ blocks[part], m.T, out=out[part])
-    return out
+    for part in _grid_chunks(*by_row.shape[:2], b * b * by_row.itemsize):
+        np.matmul(m @ by_row[part], m.T, out=out[part])
+    return out.reshape(-1, b, b)
 
 
 # ---------------------------------------------------------------------------

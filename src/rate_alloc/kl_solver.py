@@ -187,10 +187,21 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
     that segment's line.  A degenerate step means Q is flat at 1 on the
     segment, where every mu gives the same q, so the midpoint is returned.
     The trace holds each probed kink, then the Newton root if one was taken.
+
+    A program whose kinks overflow float64, or where no float lies strictly
+    between the two kinks of a coordinate with a positive cap (so that its
+    q can only be 0 or the cap), raises ValueError.
     """
     pos = problem.p > 0
-    p, offsets = problem.p[pos], problem.offsets[pos]
-    kinks = np.unique(np.concatenate([offsets / p, (problem.a[pos] + offsets) / p]))
+    p, offsets, a = problem.p[pos], problem.offsets[pos], problem.a[pos]
+    with np.errstate(over="ignore"):
+        kinks = np.concatenate([offsets / p, (a + offsets) / p])
+    if not np.isfinite(kinks).all():
+        raise ValueError("program's breakpoints overflow float64")
+    if ((np.nextafter(kinks[:p.size], np.inf) >= kinks[p.size:]) & (a > 0)).any():
+        raise ValueError("program's breakpoints collapse at float resolution")
+    kinks.sort()
+    kinks = kinks[np.concatenate([[True], kinks[1:] != kinks[:-1]])]  # distinct, ascending
     lo, hi = 0, kinks.size - 1
     trace = []
     while lo < hi:

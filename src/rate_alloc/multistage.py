@@ -208,7 +208,7 @@ def simulate(
 
     # every block uses the operator's rows in native order, so column j of `values`
     # is row j+1 applied to all blocks; a stage appends only columns not yet reached
-    blocks = grid.blocks.reshape(n, dim)
+    blocks = grid.blocks.reshape(n, dim)  # one block-order copy, dropped when the run ends
     values = np.empty((n, 0))
     cumulative = np.zeros(n, dtype=np.int64)
     stage_states = []

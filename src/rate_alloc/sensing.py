@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import lapack_lite
 
+from . import imaging
 from .imaging import BlockGrid, Image, _frozen, _stitch
 
 # the build holds two dim^2 float64 arrays, the rows and their Gram product:
@@ -162,7 +163,7 @@ def sample_plan(grid: BlockGrid, per_block_M, matrix: MeasurementMatrix) -> Meas
     if counts.shape != (grid.block_count,):
         raise ValueError("one count per block required")
     top = int(counts.max(initial=0))
-    values = sample_rows(matrix, 1, top, grid.blocks.reshape(grid.block_count, -1))
+    values = sample_rows(matrix, 1, top, grid.vectors)
     values[np.arange(top) >= counts[:, None]] = 0.0
     return Measurements(values, counts)
 
@@ -207,8 +208,23 @@ def psnr(reference: Image, estimate: Image) -> float:
     """Peak signal-to-noise ratio in dB for unit-range images (inf if equal)."""
     if reference.pixels.shape != estimate.pixels.shape:
         raise ValueError("images must share dimensions")
-    diff = reference.pixels - estimate.pixels
-    mse = float(np.mean(np.square(diff, out=diff)))
+    x, y = reference.pixels.reshape(-1), estimate.pixels.reshape(-1)
+    mse = _squared_error(x, y) / x.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
+
+
+def _squared_error(x: np.ndarray, y: np.ndarray) -> float:
+    """Sum of (x - y)**2 over two flat arrays, chunk by chunk, with the bits of one np.sum.
+
+    numpy sums a contiguous array of more than 128 items pairwise, splitting
+    it at n/2 rounded down to a multiple of 8; splitting at the same places
+    down to chunk-sized leaves adds the same partial sums in the same order.
+    """
+    if x.size <= 128 or x.nbytes <= imaging._CHUNK:
+        diff = x - y
+        return float(np.square(diff, out=diff).sum())
+    half = x.size // 2
+    half -= half % 8
+    return _squared_error(x[:half], y[:half]) + _squared_error(x[half:], y[half:])

@@ -173,7 +173,7 @@ def test_c07_transform_and_operator_algebra(matrix32):
 
 def test_c08_multistage_bookkeeping(matrix32):
     image = synthetic_image("checkerboard")
-    blocks = partition(image, 32).blocks
+    blocks = partition(image, 32).blocks.reshape(-1, 32, 32)
     pixels = 9216
     for stages in (2, 5, 8):
         plan = run_simulation(image, 32, 0.3, stages, OracleBoundsPredictor(), matrix32)

@@ -14,7 +14,8 @@ from rate_alloc import imaging
 from rate_alloc.allocation import single_stage_plan
 from rate_alloc.analysis import analyze, solve_threshold, sparsity_profile
 from rate_alloc.imaging import Image, assemble, dct2_blocks, dct_matrix, partition
-from rate_alloc.sensing import build_matrix, reconstruct_plan, sample_plan
+from rate_alloc.multistage import OracleBoundsPredictor, simulate
+from rate_alloc.sensing import build_matrix, psnr, reconstruct_plan, sample_plan
 
 BLOCK_SIZES = (2, 4, 8, 16, 32)
 # (height, width) at block size b: 4 x 5 blocks either way, so a 3-block
@@ -37,11 +38,13 @@ class TestChunkEdges:
     @pytest.mark.parametrize("layout", SHAPES)
     @pytest.mark.parametrize("b", BLOCK_SIZES)
     def test_dct_equals_one_product(self, b, layout, chunk_blocks, monkeypatch):
+        # the grid's strided view, against one product over a contiguous copy of its blocks
         blocks = partition(image_for(b, layout), b).blocks
-        assert len(blocks) % 3 != 0
+        copy = blocks.reshape(-1, b, b)
+        assert blocks.shape[1] % 3 != 0 and not blocks.flags.c_contiguous
         m = dct_matrix(b)
-        monkeypatch.setattr(imaging, "_CHUNK", chunk_blocks * blocks[0].nbytes)
-        assert np.array_equal(dct2_blocks(blocks), m @ blocks @ m.T)
+        monkeypatch.setattr(imaging, "_CHUNK", chunk_blocks * copy[0].nbytes)
+        assert np.array_equal(dct2_blocks(blocks), m @ copy @ m.T)
 
     @pytest.mark.parametrize("layout", SHAPES)
     @pytest.mark.parametrize("b", BLOCK_SIZES)
@@ -60,7 +63,7 @@ class TestChunkEdges:
         grid = partition(image_for(b, layout), b)
         want = analyze(grid, 0.2)  # these images fit in one default chunk
         assert grid.blocks.nbytes <= imaging._CHUNK
-        monkeypatch.setattr(imaging, "_CHUNK", chunk_blocks * grid.blocks[0].nbytes)
+        monkeypatch.setattr(imaging, "_CHUNK", chunk_blocks * grid.blocks[0, 0].nbytes)
         got = analyze(grid, 0.2)
         assert (got.grid, got.rate, got.target_ratio, got.threshold) == (
             want.grid, want.rate, want.target_ratio, want.threshold)
@@ -105,7 +108,8 @@ def test_default_chunks_match_one_pass(scene):
     grid, coeffs = scene[1:3]
     assert grid.blocks.nbytes > 4 * imaging._CHUNK
     m = dct_matrix(BLOCK)
-    assert np.array_equal(coeffs, m @ grid.blocks @ m.T)
+    copy = grid.blocks.reshape(-1, BLOCK, BLOCK)
+    assert np.array_equal(coeffs, m @ copy @ m.T)
     threshold = solve_threshold(coeffs, 0.1)
     want = (np.abs(coeffs) > threshold).sum(axis=(1, 2))
     assert np.array_equal(sparsity_profile(coeffs, threshold).per_block_k, want)
@@ -118,8 +122,25 @@ class TestPeakMemory:
         for layout in SCENES:
             image, grid = make_scene(layout)[:2]
             peak = peak_bytes(partition, image, BLOCK)
-            # a padded grid is zeroed once and the pixels copied straight into block order
+            # a padded grid is zeroed once and the pixels copied in; a grid of whole blocks copies none
             assert peak <= grid.blocks.nbytes + SLACK, layout
+
+    def test_unpadded_partition_copies_nothing(self):
+        image = make_scene("unpadded")[0]
+        assert peak_bytes(partition, image, BLOCK) <= SLACK
+
+    def test_analysis_holds_no_image_sized_copy(self):
+        image, _, coeffs = make_scene("unpadded")[:3]
+        tracemalloc.start()
+        try:
+            result = analyze(partition(image, BLOCK), 0.1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the coefficients are the one image-sized array; the grid holds the image's own pixels
+        assert peak < 1.5 * coeffs.nbytes
+        assert held < 0.1 * coeffs.nbytes
+        assert result.grid.pixels is image.pixels
 
     def test_dct_output_plus_chunk(self, scene):
         grid = scene[1]
@@ -154,10 +175,37 @@ class TestPeakMemory:
             product = grid.block_count * int(plan.per_block_M.max()) * 8
             assert peak <= product + product // 8 + SLACK + (1 << 12), layout
 
+    def test_sample_plan_first_call_adds_one_block_copy(self):
+        for layout in SCENES:
+            image, _, _, matrix, plan, _ = make_scene(layout)
+            grid = partition(image, BLOCK)  # a fresh grid: its block-order copy is not made yet
+            peak = peak_bytes(sample_plan, grid, plan.per_block_M, matrix)
+            # the guard above, plus the (blocks, B^2) copy that the grid then keeps
+            product = grid.block_count * int(plan.per_block_M.max()) * 8
+            assert peak <= grid.pixels.nbytes + product + product // 8 + SLACK + (1 << 12), layout
+
+    def test_simulate_leaves_no_block_copy_behind(self):
+        for layout in SCENES:
+            image, _, _, matrix = make_scene(layout)[:4]
+            result = analyze(partition(image, BLOCK), 0.1)
+            tracemalloc.start()
+            try:
+                simulate(result, 2, OracleBoundsPredictor(), matrix)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            # the records, far below one image: the block-order copy went with the run
+            assert held < result.grid.pixels.nbytes // 2, layout
+
     def test_operator_build_holds_two_copies(self):
         # the QR runs in the draw's own buffer; the Gram check's product is the second copy
         rows_bytes = (32 * 32) ** 2 * 8
         assert peak_bytes(build_matrix, 32, 1) <= 2.5 * rows_bytes
+
+    def test_psnr_sums_chunk_by_chunk(self):
+        image = make_scene("unpadded")[0]
+        other = Image(image.pixels[::-1])
+        assert peak_bytes(psnr, image, other) <= imaging._CHUNK + SLACK
 
     def test_reconstruct_holds_blocks_and_image(self):
         for layout in SCENES:

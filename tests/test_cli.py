@@ -142,6 +142,18 @@ class TestOutputPermissions:
 
 
 class TestSimulate:
+    def test_two_stages_leave_numpy_ma_unimported(self, tmp_path):
+        # the KL solve of stage 2 sorts its kinks itself: np.unique would import numpy.ma
+        env = dict(os.environ, PYTHONPATH=str(Path(rate_alloc.__file__).parents[1]))
+        argv = ["simulate", "--synthetic", "checkerboard", "--block-size", "8", "--rate", "0.3",
+                "--stages", "2", "--out", str(tmp_path / "out")]
+        code = ("import sys; from rate_alloc import cli; "
+                f"print(cli.main({argv!r}), 'numpy.ma' in sys.modules)")
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                               check=True, timeout=60)
+        assert child.stdout.splitlines()[-1] == "0 False"
+        assert json.loads((tmp_path / "out" / "simulation.json").read_text())["stages"] == 2
+
     def test_outputs_and_metadata(self, tmp_path, capsys, cached_operator):
         out = tmp_path / "sim"
         rc = run(
@@ -263,6 +275,33 @@ class TestSolve:
         path.write_text(json.dumps({**HAND_PROBLEM, **change}))
         assert run("solve", path) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ({"p": [1, 1e-300], "r": [0.5, 0.5], "alpha": 1e-20, "a": [1, 1]},
+             "program's breakpoints overflow float64"),
+            ({"p": [1], "r": [1], "alpha": 1e-300, "a": [1]},
+             "program's breakpoints collapse at float resolution"),
+            ({"p": [1], "r": [1], "alpha": 1e-16, "a": [1.5]},
+             "program's breakpoints collapse at float resolution"),
+        ],
+        ids=["kinks-overflow", "kinks-equal", "kinks-one-ulp-apart"],
+    )
+    def test_breakpoints_lost_to_rounding_exit_two(self, tmp_path, capsys, problem, message):
+        # each printed a q off the budget and exited 0; the first also printed mu = Infinity
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(problem))
+        assert run("solve", path) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_small_alpha_still_solves(self, tmp_path, capsys):
+        # offsets near 5e8 round q's segments coarsely, yet floats lie inside each: q is returned
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"p": [0.3, 0.7], "r": [0.5, 0.5], "alpha": 1e-9, "a": [1, 1]}))
+        assert run("solve", path) == 0
+        q = json.loads(capsys.readouterr().out)["q"]
+        assert q == [0.0, 1.0]
 
     def test_infeasible_exits_four(self, tmp_path):
         path = tmp_path / "bad.json"

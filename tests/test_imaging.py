@@ -426,8 +426,8 @@ class TestPartition:
         assert (grid.rows, grid.cols) == (2, 2)
         assert (grid.pad_bottom, grid.pad_right) == (3, 3)
         # bottom-right block is entirely padding except its top-left pixel
-        assert grid.blocks[3][0, 0] == 0.5
-        assert grid.blocks[3].sum() == 0.5
+        assert grid.blocks[1, 1][0, 0] == 0.5
+        assert grid.blocks[1, 1].sum() == 0.5
 
     def test_round_trip_all_residues(self):
         # identity depends only on (H mod B, W mod B); cover every residue
@@ -447,15 +447,28 @@ class TestPartition:
     def test_small_block_size_rejected(self):
         with pytest.raises(ValueError):
             partition(Image(np.zeros((4, 4))), 1)
-        # a grid built directly checks its padding and its block array
+        # a grid built directly checks its padding and its pixel array
         with pytest.raises(ValueError, match="padding must be smaller than the block size"):
-            BlockGrid(2, 1, 1, 2, 0, np.zeros((1, 2, 2)))
-        with pytest.raises(ValueError, match="block array shape inconsistent with grid"):
-            BlockGrid(2, 1, 2, 0, 0, np.zeros((1, 2, 2)))
+            BlockGrid(2, 1, 1, 2, 0, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="pixel array shape inconsistent with grid"):
+            BlockGrid(2, 1, 2, 0, 0, np.zeros((2, 2)))
+
+    def test_whole_blocks_share_the_image(self):
+        img = Image(np.random.default_rng(2).random((8, 12)))
+        grid = partition(img, 4)
+        assert grid.pixels is img.pixels
+        assert grid.blocks.shape == (2, 3, 4, 4) and not grid.blocks.flags.writeable
+        assert np.array_equal(grid.blocks[1, 2], img.pixels[4:8, 8:12])
+
+    def test_vectors_copied_once(self):
+        grid = partition(Image(np.random.default_rng(2).random((9, 10))), 4)
+        vectors = grid.vectors
+        assert vectors is grid.vectors
+        assert vectors.flags.c_contiguous and not vectors.flags.writeable
+        assert np.array_equal(vectors, grid.blocks.reshape(grid.block_count, 16))
 
     def test_assemble_clamps(self):
-        blocks = np.full((1, 2, 2), 1.2)
-        grid = BlockGrid(2, 1, 1, 0, 0, blocks)
+        grid = BlockGrid(2, 1, 1, 0, 0, np.full((2, 2), 1.2))
         assert assemble(grid).pixels.max() == 1.0
 
 
@@ -514,7 +527,12 @@ class TestDct:
             with pytest.raises(ValueError):
                 dct2_blocks(np.zeros(shape))
 
-    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4, 4), (4,)])
+    @pytest.mark.parametrize("shape", [(4, 4), (), (4,)])
     def test_only_a_stack_of_blocks(self, shape):
         with pytest.raises(ValueError, match="stack"):
             dct2_blocks(np.zeros(shape))
+
+    def test_leading_axes_flatten_in_c_order(self):
+        blocks = np.random.default_rng(7).random((2, 3, 4, 4))
+        assert np.array_equal(dct2_blocks(blocks), dct2_blocks(blocks.reshape(6, 4, 4)))
+        assert dct2_blocks(np.zeros((0, 4, 4))).shape == (0, 4, 4)

@@ -302,7 +302,7 @@ class TestRunSimulation:
             records = plan.records
             assert plan.final_M is records.counts
             assert records.counts.max() <= 1024
-            blocks = partition(img, 32).blocks
+            blocks = partition(img, 32).blocks.reshape(-1, 32, 32)
             for i, count in enumerate(records.counts):
                 reference = matrix32.rows[:count] @ blocks[i].reshape(-1)
                 assert np.abs(records.values[i, :count] - reference).max() <= 1e-12

@@ -60,8 +60,8 @@ def test_batched_reconstruction_matches_per_block_adjoint(seed, h, w, block):
     padded = np.zeros((grid.rows * block, grid.cols * block))
     for i, count in enumerate(counts):
         rows = matrix.rows[:count]
-        xh = rows.T @ (rows @ grid.blocks[i].reshape(-1))
         r, c = divmod(i, grid.cols)
+        xh = rows.T @ (rows @ grid.blocks[r, c].reshape(-1))
         padded[r * block:(r + 1) * block, c * block:(c + 1) * block] = xh.reshape(block, block)
     reference = np.clip(padded[:h, :w], 0.0, 1.0)
     assert np.abs(recon.pixels - reference).max() <= 1e-12

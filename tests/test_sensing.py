@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.linalg import lapack_lite
 
-from rate_alloc import sensing
+from rate_alloc import imaging, sensing
 from rate_alloc.allocation import uniform_plan
 from rate_alloc.imaging import Image, assemble, partition
 from rate_alloc.sensing import (
@@ -241,7 +241,7 @@ class TestMeasurements:
         assert np.array_equal(rec.counts, counts)
         assert rec.values.shape == (grid.block_count, counts.max())
         for i, c in enumerate(counts):
-            reference = matrix8.rows[:c] @ grid.blocks[i].reshape(-1)
+            reference = matrix8.rows[:c] @ grid.blocks[divmod(i, grid.cols)].reshape(-1)
             assert np.abs(rec.values[i, :c] - reference).max(initial=0.0) <= 1e-12
             assert not rec.values[i, c:].any()
 
@@ -349,8 +349,10 @@ class TestReconstructPlan:
         blocks = np.empty_like(grid.blocks)
         for i, c in enumerate(counts):
             rows = matrix8.rows[:c]
-            blocks[i] = (rows.T @ (rows @ grid.blocks[i].reshape(-1))).reshape(8, 8)
-        reference = assemble(dataclasses.replace(grid, blocks=np.clip(blocks, 0, 1)))
+            at = divmod(i, grid.cols)
+            blocks[at] = (rows.T @ (rows @ grid.blocks[at].reshape(-1))).reshape(8, 8)
+        pixels = np.clip(blocks, 0, 1).swapaxes(1, 2).reshape(grid.padded_height, grid.padded_width)
+        reference = assemble(dataclasses.replace(grid, pixels=pixels))
         assert np.abs(recon.pixels - reference.pixels).max() <= 1e-12
 
 
@@ -373,4 +375,14 @@ class TestPsnr:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             psnr(Image(np.zeros((2, 2))), Image(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (181, 181), (509, 507), (1, 100000), (1024, 1024)])
+    def test_chunked_sum_equals_one_mean(self, shape, monkeypatch):
+        # the squared error is summed in pieces that split where numpy's pairwise sum splits
+        rng = np.random.default_rng(shape[0])
+        a, b = Image(rng.random(shape)), Image(rng.random(shape))
+        want = 10.0 * math.log10(1.0 / float(np.mean(np.square(a.pixels - b.pixels))))
+        for chunk in (imaging._CHUNK, 1 << 10, 40):  # 40 bytes: leaves of numpy's unsplit 128 items
+            monkeypatch.setattr(imaging, "_CHUNK", chunk)
+            assert psnr(a, b) == want, chunk
 
