@@ -29,18 +29,17 @@ def round_half_up(x: float) -> int:
 class AllocationPlan:
     """Exact integer measurement counts for every block of a grid."""
 
-    block_size: int
-    grid_rows: int
-    grid_cols: int
+    grid: BlockGrid
     target_rate: float
     per_block_M: np.ndarray
     threshold: Optional[float]
 
     def __post_init__(self):
+        grid = self.grid
         m = np.asarray(self.per_block_M, dtype=np.int64)
-        if m.shape != (self.grid_rows * self.grid_cols,):
-            raise ValueError(f"counts of shape {m.shape} do not fit a {self.grid_rows}x{self.grid_cols} grid")
-        if (m < 0).any() or (m > self.block_size * self.block_size).any():
+        if m.shape != (grid.block_count,):
+            raise ValueError(f"counts of shape {m.shape} do not fit a {grid.rows}x{grid.cols} grid")
+        if (m < 0).any() or (m > grid.block_size * grid.block_size).any():
             raise ValueError("per-block counts must lie in [0, B^2]")
         object.__setattr__(self, "per_block_M", _frozen(m, np.int64))
 
@@ -49,13 +48,9 @@ class AllocationPlan:
         return int(self.per_block_M.sum())
 
     @property
-    def padded_pixel_count(self) -> int:
-        return self.grid_rows * self.grid_cols * self.block_size * self.block_size
-
-    @property
     def implied_eta(self) -> float:
         """Ratio of the integer budget to the real-valued target budget."""
-        return self.total_budget / (self.target_rate * self.padded_pixel_count)
+        return self.total_budget / (self.target_rate * self.grid.padded_pixel_count)
 
 
 def proportional_shares(bounds, budget: int) -> np.ndarray:
@@ -122,14 +117,7 @@ def plan_from_bounds(
         raise ValueError("sampling rate must lie in (0, 1]")
     budget = round_half_up(s_r * grid.padded_pixel_count)
     counts = apportion(proportional_shares(bounds, budget), budget, grid.block_size * grid.block_size)
-    return AllocationPlan(
-        block_size=grid.block_size,
-        grid_rows=grid.rows,
-        grid_cols=grid.cols,
-        target_rate=s_r,
-        per_block_M=counts,
-        threshold=threshold,
-    )
+    return AllocationPlan(grid=grid, target_rate=s_r, per_block_M=counts, threshold=threshold)
 
 
 def adaptive_plan(analysis: Analysis) -> AllocationPlan:

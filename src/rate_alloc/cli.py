@@ -101,8 +101,8 @@ def cmd_analyze(args) -> int:
 
 def _plan_json(plan: allocation.AllocationPlan) -> str:
     doc = {
-        "block_size": plan.block_size,
-        "grid": [plan.grid_rows, plan.grid_cols],
+        "block_size": plan.grid.block_size,
+        "grid": [plan.grid.rows, plan.grid.cols],
         "rate": plan.target_rate,
         "budget": plan.total_budget,
         "threshold": plan.threshold,
@@ -117,10 +117,7 @@ def cmd_allocate(args) -> int:
     plan = allocation.adaptive_plan(analysis.analyze(grid, args.rate, curve))
     out = Path(args.out)
     _write_atomic(out / "plan.json", _plan_json(plan))
-    _write_atomic(
-        out / "measurements.csv",
-        _heatmap_csv(plan.per_block_M, plan.grid_rows, plan.grid_cols, "%d"),
-    )
+    _write_atomic(out / "measurements.csv", _heatmap_csv(plan.per_block_M, grid.rows, grid.cols, "%d"))
     print(f"total measurements {plan.total_budget}  implied eta {plan.implied_eta:.10g}")
     return EXIT_OK
 

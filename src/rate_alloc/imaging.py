@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -114,17 +114,6 @@ class BlockGrid:
         """The read-only (rows, cols, B, B) view of the pixels, block by block."""
         b = self.block_size
         return self.pixels.reshape(self.rows, b, self.cols, b).swapaxes(1, 2)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """Each block as one contiguous row, (rows * cols, B * B): a copy made on first use.
-
-        It is kept while the grid lives, so sampling one grid again copies
-        nothing.  Sampling multiplies every block in one product, which needs
-        each block as one row; a product per grid row or per chunk can round
-        differently.
-        """
-        return _frozen(self.blocks.reshape(self.block_count, -1))
 
     @property
     def block_count(self) -> int:

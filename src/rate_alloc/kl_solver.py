@@ -63,7 +63,12 @@ def _as_ratio(vec, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KlAllocProblem:
-    """Target ratio p, fixed ratio r, adjustable fraction alpha, caps a."""
+    """Target ratio p, fixed ratio r, adjustable fraction alpha, caps a.
+
+    A program whose kinks overflow float64, or where no float lies strictly
+    between the two kinks of a coordinate with a positive cap (so that its
+    q can only be 0 or the cap), raises ValueError.
+    """
 
     p: np.ndarray
     r: np.ndarray
@@ -88,10 +93,24 @@ class KlAllocProblem:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", a)
-        if a[p > 0].sum() < 1.0 - _SUM_TOL:
+        pos = p > 0
+        if a[pos].sum() < 1.0 - _SUM_TOL:
             raise InfeasibleProblemError(
                 "caps over positive-weight coordinates sum below 1"
             )
+        # Q's kinks: where each positive-weight coordinate leaves 0 and where it reaches its cap
+        p, a = p[pos], a[pos]
+        with np.errstate(over="ignore"):
+            offsets = self.offsets[pos]
+            kinks = np.concatenate([offsets / p, (a + offsets) / p])
+        if not np.isfinite(kinks).all():
+            raise ValueError("program's breakpoints overflow float64")
+        if ((np.nextafter(kinks[:p.size], np.inf) >= kinks[p.size:]) & (a > 0)).any():
+            raise ValueError("program's breakpoints collapse at float resolution")
+        kinks.sort()
+        kinks = kinks[np.concatenate([[True], kinks[1:] != kinks[:-1]])]  # distinct, ascending
+        kinks.setflags(write=False)
+        object.__setattr__(self, "_kinks", kinks)
 
     @property
     def beta(self) -> float:
@@ -187,21 +206,8 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
     that segment's line.  A degenerate step means Q is flat at 1 on the
     segment, where every mu gives the same q, so the midpoint is returned.
     The trace holds each probed kink, then the Newton root if one was taken.
-
-    A program whose kinks overflow float64, or where no float lies strictly
-    between the two kinks of a coordinate with a positive cap (so that its
-    q can only be 0 or the cap), raises ValueError.
     """
-    pos = problem.p > 0
-    p, offsets, a = problem.p[pos], problem.offsets[pos], problem.a[pos]
-    with np.errstate(over="ignore"):
-        kinks = np.concatenate([offsets / p, (a + offsets) / p])
-    if not np.isfinite(kinks).all():
-        raise ValueError("program's breakpoints overflow float64")
-    if ((np.nextafter(kinks[:p.size], np.inf) >= kinks[p.size:]) & (a > 0)).any():
-        raise ValueError("program's breakpoints collapse at float resolution")
-    kinks.sort()
-    kinks = kinks[np.concatenate([[True], kinks[1:] != kinks[:-1]])]  # distinct, ascending
+    kinks = problem._kinks
     lo, hi = 0, kinks.size - 1
     trace = []
     while lo < hi:

@@ -150,11 +150,9 @@ class StageState:
 
 @dataclass(frozen=True)
 class MultiStagePlan:
-    """Outcome of an N-stage run: per-stage states, the records and the grid's shape (not its pixels)."""
+    """Outcome of an N-stage run: the grid, per-stage states and the records."""
 
-    block_size: int
-    grid_rows: int
-    grid_cols: int
+    grid: BlockGrid
     stages: tuple  # of StageState
     records: Measurements
 
@@ -262,10 +260,4 @@ def simulate(
 
     # zero the rows computed past a block's count
     values[np.arange(values.shape[1]) >= cumulative[:, None]] = 0.0
-    return MultiStagePlan(
-        block_size=grid.block_size,
-        grid_rows=grid.rows,
-        grid_cols=grid.cols,
-        stages=tuple(stage_states),
-        records=Measurements(values, cumulative),
-    )
+    return MultiStagePlan(grid=grid, stages=tuple(stage_states), records=Measurements(values, cumulative))

@@ -163,7 +163,8 @@ def sample_plan(grid: BlockGrid, per_block_M, matrix: MeasurementMatrix) -> Meas
     if counts.shape != (grid.block_count,):
         raise ValueError("one count per block required")
     top = int(counts.max(initial=0))
-    values = sample_rows(matrix, 1, top, grid.vectors)
+    # one product over every block, each as one row: a product per grid row may round differently
+    values = sample_rows(matrix, 1, top, grid.blocks.reshape(grid.block_count, -1))
     values[np.arange(top) >= counts[:, None]] = 0.0
     return Measurements(values, counts)
 
@@ -172,22 +173,22 @@ def reconstruct_plan(plan, measurements: Measurements, matrix: MeasurementMatrix
                      original_h: int, original_w: int) -> Image:
     """Adjoint-reconstruct every block of a plan and reassemble the image.
 
-    `plan` only needs block_size / grid_rows / grid_cols attributes, so
-    both single-stage and multi-stage plans work.  Values are zero beyond
-    each block's count, so a product over the used row prefix is the
-    per-block adjoint of every block.  It runs one block row at a time, and
-    each row is clamped into the one output image while it is in cache.
+    `plan` only needs a `grid` attribute, so both single-stage and
+    multi-stage plans work.  Values are zero beyond each block's count,
+    so a product over the used row prefix is the per-block adjoint of
+    every block.  It runs one block row at a time, and each row is
+    clamped into the one output image while it is in cache.
     An operator of another block size, a height or width the plan's grid
     could not have been cut from, or records of another block count or
     wider than the operator raise ValueError before any product.
     """
-    b, cols = plan.block_size, plan.grid_cols
-    n = plan.grid_rows * cols
+    grid = plan.grid
+    b, cols, n = grid.block_size, grid.cols, grid.block_count
     if matrix.dim != b * b:
         raise ValueError(f"operator of size {matrix.dim} does not fit {b}x{b} blocks")
-    if not (0 <= plan.grid_rows * b - original_h < b and 0 <= cols * b - original_w < b):
+    if not (0 <= grid.padded_height - original_h < b and 0 <= grid.padded_width - original_w < b):
         raise ValueError(f"a {original_h}x{original_w} image does not fit a "
-                         f"{plan.grid_rows}x{cols} grid of {b}x{b} blocks")
+                         f"{grid.rows}x{cols} grid of {b}x{b} blocks")
     values = measurements.values
     if values.shape[0] != n or values.shape[1] > b * b:
         raise ValueError(f"measurements of shape {values.shape} do not fit {n} blocks of {b * b} values")

@@ -129,9 +129,12 @@ def test_c05_conservation_and_caps():
     images.append(Image(rng.random((70, 50))))  # padded 96x64 grid
     checked = 0
     for image in images:
+        whole = image.height % 32 == image.width % 32 == 0
         for s_r in SWEEP_RATES:
             plan = single_stage_plan(image, 32, s_r)
-            assert plan.per_block_M.sum() == round_half_up(s_r * plan.padded_pixel_count)
+            # a plan holds its grid, and a grid of whole blocks holds the image's own pixels
+            assert (plan.grid.pixels is image.pixels) == whole
+            assert plan.per_block_M.sum() == round_half_up(s_r * plan.grid.padded_pixel_count)
             assert plan.per_block_M.min() >= 0
             assert plan.per_block_M.max() <= 1024
             checked += 1

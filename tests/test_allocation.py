@@ -6,6 +6,7 @@ import pytest
 
 from rate_alloc.allocation import (
     AllocationPlan,
+    adaptive_plan,
     apportion,
     plan_from_bounds,
     proportional_shares,
@@ -127,9 +128,10 @@ class TestSingleStagePlan:
         assert (plan.per_block_M == 1024).all()
 
     def test_monotone_fairness(self):
-        img = synthetic_image("gradient")
-        m = single_stage_plan(img, 32, 0.25).per_block_M
-        bounds = analyze(partition(img, 32), 0.25).bounds
+        result = analyze(partition(synthetic_image("gradient"), 32), 0.25)
+        plan = adaptive_plan(result)
+        assert plan.grid is result.grid
+        m, bounds = plan.per_block_M, result.bounds
         for i in range(m.size):
             for j in range(m.size):
                 if bounds[i] >= bounds[j]:
@@ -176,7 +178,7 @@ class TestUniformPlan:
 class TestPlanType:
     @staticmethod
     def plan(counts):
-        return AllocationPlan(block_size=2, grid_rows=1, grid_cols=2, target_rate=0.5,
+        return AllocationPlan(grid=partition(Image(np.zeros((2, 4))), 2), target_rate=0.5,
                               per_block_M=counts, threshold=None)
 
     def test_count_per_block_required(self):

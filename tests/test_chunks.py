@@ -166,36 +166,31 @@ class TestPeakMemory:
             # each row of blocks is clamped straight into the cropped image
             assert peak <= image.pixels.nbytes + SLACK, layout
 
-    def test_sample_plan_output_plus_product_and_mask(self):
+    def test_sample_plan_first_call_adds_one_block_copy(self):
         for layout in SCENES:
             _, grid, _, matrix, plan, _ = make_scene(layout)
             peak = peak_bytes(sample_plan, grid, plan.per_block_M, matrix)
-            # the (blocks, top) product is the output, beside its bool mask; the mask's broadcast
-            # compare takes SLACK's 128 KiB of buffers, and the small arrays beside them 4 KiB more
-            product = grid.block_count * int(plan.per_block_M.max()) * 8
-            assert peak <= product + product // 8 + SLACK + (1 << 12), layout
-
-    def test_sample_plan_first_call_adds_one_block_copy(self):
-        for layout in SCENES:
-            image, _, _, matrix, plan, _ = make_scene(layout)
-            grid = partition(image, BLOCK)  # a fresh grid: its block-order copy is not made yet
-            peak = peak_bytes(sample_plan, grid, plan.per_block_M, matrix)
-            # the guard above, plus the (blocks, B^2) copy that the grid then keeps
+            # every call copies the blocks into (blocks, B^2) rows and drops the copy on return;
+            # beside it, the (blocks, top) product is the output, with its bool mask, whose
+            # broadcast compare takes SLACK's 128 KiB of buffers and the small arrays 4 KiB more
             product = grid.block_count * int(plan.per_block_M.max()) * 8
             assert peak <= grid.pixels.nbytes + product + product // 8 + SLACK + (1 << 12), layout
 
     def test_simulate_leaves_no_block_copy_behind(self):
         for layout in SCENES:
-            image, _, _, matrix = make_scene(layout)[:4]
+            image, _, _, matrix, plan, _ = make_scene(layout)
             result = analyze(partition(image, BLOCK), 0.1)
-            tracemalloc.start()
-            try:
-                simulate(result, 2, OracleBoundsPredictor(), matrix)
-                held = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            # the records, far below one image: the block-order copy went with the run
-            assert held < result.grid.pixels.nbytes // 2, layout
+            runs = {"simulate": lambda: simulate(result, 2, OracleBoundsPredictor(), matrix),
+                    "sample_plan": lambda: sample_plan(result.grid, plan.per_block_M, matrix)}
+            for name, run in runs.items():
+                tracemalloc.start()
+                try:
+                    run()
+                    held = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+                # far below one image: the block-order copy went with the call
+                assert held < result.grid.pixels.nbytes // 2, (layout, name)
 
     def test_operator_build_holds_two_copies(self):
         # the QR runs in the draw's own buffer; the Gram check's product is the second copy

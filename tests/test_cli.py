@@ -285,11 +285,14 @@ class TestSolve:
              "program's breakpoints collapse at float resolution"),
             ({"p": [1], "r": [1], "alpha": 1e-16, "a": [1.5]},
              "program's breakpoints collapse at float resolution"),
+            ({"p": [1, 0], "r": [1, 1], "alpha": 5e-324, "a": [1, 0]},
+             "program's breakpoints overflow float64"),
         ],
-        ids=["kinks-overflow", "kinks-equal", "kinks-one-ulp-apart"],
+        ids=["kinks-overflow", "kinks-equal", "kinks-one-ulp-apart", "offsets-overflow"],
     )
     def test_breakpoints_lost_to_rounding_exit_two(self, tmp_path, capsys, problem, message):
-        # each printed a q off the budget and exited 0; the first also printed mu = Infinity
+        # the first three printed a q off the budget and exited 0, the first with mu = Infinity;
+        # the last also printed an overflow warning from the offsets
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(problem))
         assert run("solve", path) == 2

@@ -460,13 +460,6 @@ class TestPartition:
         assert grid.blocks.shape == (2, 3, 4, 4) and not grid.blocks.flags.writeable
         assert np.array_equal(grid.blocks[1, 2], img.pixels[4:8, 8:12])
 
-    def test_vectors_copied_once(self):
-        grid = partition(Image(np.random.default_rng(2).random((9, 10))), 4)
-        vectors = grid.vectors
-        assert vectors is grid.vectors
-        assert vectors.flags.c_contiguous and not vectors.flags.writeable
-        assert np.array_equal(vectors, grid.blocks.reshape(grid.block_count, 16))
-
     def test_assemble_clamps(self):
         grid = BlockGrid(2, 1, 1, 0, 0, np.full((2, 2), 1.2))
         assert assemble(grid).pixels.max() == 1.0

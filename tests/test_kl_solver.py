@@ -247,6 +247,22 @@ class TestSolve:
         with pytest.raises(ValueError, match="positive total"):
             KlAllocProblem(p=[1.0, 1.0, 1.0], r=np.zeros(3), alpha=0.5, a=[1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "program, message",
+        [
+            ({"p": [1, 1e-300], "r": [0.5, 0.5], "alpha": 1e-20, "a": [1, 1]}, "overflow float64"),
+            ({"p": [1], "r": [1], "alpha": 1e-300, "a": [1]}, "collapse at float resolution"),
+            ({"p": [1], "r": [1], "alpha": 1e-16, "a": [1.5]}, "collapse at float resolution"),
+            ({"p": [1, 0], "r": [1, 1], "alpha": 5e-324, "a": [1, 0]}, "overflow float64"),
+        ],
+        ids=["kinks-overflow", "kinks-equal", "kinks-one-ulp-apart", "offsets-overflow"],
+    )
+    def test_breakpoints_lost_to_rounding_rejected(self, program, message):
+        # built, the first three gave q off the budget from solve or oracle_solve; the last
+        # warned of an overflow in its offsets before solve rejected it
+        with pytest.raises(ValueError, match=f"program's breakpoints {message}"):
+            KlAllocProblem(**program)
+
     def test_zero_weight_zero_cap_mixtures(self):
         prob = KlAllocProblem(
             p=[0.0, 0.4, 0.6, 0.0], r=[0.25] * 4, alpha=0.8, a=[0.0, 0.9, 0.9, 2.0]

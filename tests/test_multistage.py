@@ -170,10 +170,11 @@ class TestUpperBounds:
 class TestPredictors:
     def test_oracle_matches_analysis(self, matrix32):
         # the oracle predicts the bounds of the image's own coefficients, bit for bit
-        img = synthetic_image("gradient")
-        plan = run_simulation(img, 32, 0.2, 2, OracleBoundsPredictor(), matrix32)
-        grid = partition(img, 32)
-        expected = bounds_of(dct2_blocks(grid.blocks), analyze(grid, 0.2).threshold)
+        grid = partition(synthetic_image("gradient"), 32)
+        result = analyze(grid, 0.2)
+        plan = multistage.simulate(result, 2, OracleBoundsPredictor(), matrix32)
+        assert plan.grid is result.grid
+        expected = bounds_of(dct2_blocks(grid.blocks), result.threshold)
         assert np.array_equal(plan.stages[1].predicted_bounds, expected)
 
     def test_flat_block_near_zero(self):

@@ -54,7 +54,7 @@ def test_batched_reconstruction_matches_per_block_adjoint(seed, h, w, block):
     grid = partition(image, block)
     matrix = operator(block)
     counts = np.random.default_rng(seed).integers(0, matrix.dim + 1, size=grid.block_count)
-    plan = SimpleNamespace(block_size=block, grid_rows=grid.rows, grid_cols=grid.cols)
+    plan = SimpleNamespace(grid=grid)
     recon = reconstruct_plan(plan, sample_plan(grid, counts, matrix), matrix, h, w)
 
     padded = np.zeros((grid.rows * block, grid.cols * block))
@@ -129,7 +129,7 @@ def test_records_hold_only_the_measured_columns(seed, h, w, block, rate, stages,
     records = [sample_plan(grid, counts, matrix)]
     if stages == 1 or round_half_up(rate / stages * grid.padded_pixel_count) >= n:
         records.append(run_simulation(image, block, rate, stages, PREDICTORS[predictor](), matrix).records)
-    plan = SimpleNamespace(block_size=block, grid_rows=grid.rows, grid_cols=grid.cols)
+    plan = SimpleNamespace(grid=grid)
 
     for record in records:
         top = int(record.counts.max())

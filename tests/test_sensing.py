@@ -337,7 +337,7 @@ class TestReconstructPlan:
             reconstruct_plan(plan, records, matrix8, 16, 16)
         assert calls == []
         reconstruct_plan(plan, records, matrix4, 16, 16)
-        assert len(calls) == plan.grid_rows  # one product per block row
+        assert len(calls) == plan.grid.rows  # one product per block row
 
     def test_matches_per_block_adjoint(self, matrix8):
         rng = np.random.default_rng(59)
