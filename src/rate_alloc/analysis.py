@@ -188,9 +188,13 @@ def sparsity_profile(coeff_blocks, threshold: float) -> SparsityProfile:
     """Per-block sparsity counts under a threshold, plus the overall ratio."""
     coeffs = np.asarray(coeff_blocks, dtype=np.float64)
     per_block = np.empty(len(coeffs), dtype=np.int64)
+    block_len = math.prod(coeffs.shape[1:])
+    # a block's mask bytes read as whole words; a True byte is one set bit
+    word = np.dtype(f"u{math.gcd(block_len, 8)}")
     # chunk by chunk, so the magnitudes and their mask stay chunk-sized
-    for part in _chunks(len(coeffs), math.prod(coeffs.shape[1:]) * coeffs.itemsize):
-        per_block[part] = np.count_nonzero(np.abs(coeffs[part]) > threshold, axis=(1, 2))
+    for part in _chunks(len(coeffs), block_len * coeffs.itemsize):
+        mask = (np.abs(coeffs[part]) > threshold).reshape(-1, block_len)
+        per_block[part] = np.bitwise_count(mask.view(word)).sum(axis=1)
     return SparsityProfile(
         threshold=threshold,
         overall_ratio=float(per_block.sum() / coeffs.size),

@@ -208,6 +208,16 @@ def dct_matrix(size: int) -> np.ndarray:
     return _frozen(m)
 
 
+@lru_cache(maxsize=None)
+def _dct_right(size: int) -> np.ndarray:
+    """dct_matrix(size).T as a C-contiguous copy, which some BLAS kernels multiply faster,
+    where a fixed probe stack shows the copy gives the view's bits; else the view."""
+    m = dct_matrix(size)
+    probe = np.sin(np.arange(2.0 * size * size)).reshape(2, size, size)  # no numpy.random import
+    copy = _frozen(m.T)
+    return copy if np.array_equal(probe @ m.T, probe @ copy) else m.T
+
+
 def dct2_blocks(blocks: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DCT-II, M @ X @ M.T with M = dct_matrix(B), of each X of a (..., B, B) stack.
 
@@ -219,13 +229,13 @@ def dct2_blocks(blocks: np.ndarray) -> np.ndarray:
     if blocks.ndim < 3 or blocks.shape[-1] != blocks.shape[-2]:
         raise ValueError(f"blocks of shape {blocks.shape} are not a (..., B, B) stack")
     b = blocks.shape[-1]
-    m = dct_matrix(b)
+    m, right = dct_matrix(b), _dct_right(b)
     # (rows, cols, B, B): a plain (n, B, B) stack is one row of n blocks
     by_row = blocks.reshape(math.prod(blocks.shape[:-3]), *blocks.shape[-3:])
     out = np.empty(by_row.shape)
     # chunk by chunk, the same per-block products as one m @ blocks @ m.T
     for part in _grid_chunks(*by_row.shape[:2], b * b * by_row.itemsize):
-        np.matmul(m @ by_row[part], m.T, out=out[part])
+        np.matmul(m @ by_row[part], right, out=out[part])
     return out.reshape(-1, b, b)
 
 

@@ -226,7 +226,7 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
 
 
 def oracle_solve(problem: KlAllocProblem) -> KlAllocSolution:
-    """Independent reference solver: plain bisection on sign(Q - 1) down to float resolution."""
+    """Independent reference solver: bisection on sign(Q - 1) to float resolution; the bracket end with Q nearer 1."""
     lo, hi = 0.0, _upper_bracket(problem)
     trace = []
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -235,7 +235,7 @@ def oracle_solve(problem: KlAllocProblem) -> KlAllocSolution:
             lo = mid
         else:
             hi = mid
-    return _solution(problem, mid, trace)
+    return _solution(problem, min(lo, hi, key=lambda mu: abs(q_total(problem, mu) - 1.0)), trace)
 
 
 def kkt_residual(problem: KlAllocProblem, q: np.ndarray, mu_star: float) -> float:

@@ -17,7 +17,7 @@ from rate_alloc.imaging import Image, assemble, dct2_blocks, dct_matrix, partiti
 from rate_alloc.multistage import OracleBoundsPredictor, simulate
 from rate_alloc.sensing import build_matrix, psnr, reconstruct_plan, sample_plan
 
-BLOCK_SIZES = (2, 4, 8, 16, 32)
+BLOCK_SIZES = (2, 3, 4, 8, 16, 20, 32)
 # (height, width) at block size b: 4 x 5 blocks either way, so a 3-block
 # chunk never divides the block count
 SHAPES = {"unpadded": lambda b: (4 * b, 5 * b), "padded": lambda b: (4 * b - 1, 4 * b + 1)}

@@ -253,6 +253,15 @@ class TestSolve:
         assert (doc["q"], doc["mu"]) == ([1.0, 0.0], 1.5)
         assert run("solve", path, "--verify") == 0
 
+    def test_small_alpha_verifies(self, tmp_path):
+        # offsets of ~5e8 round the bisection's last midpoint to Q = 1 - 6e-8; its upper end gives Q = 1
+        problem = {"p": [0.3, 0.7], "r": [0.5, 0.5], "alpha": 1e-9, "a": [1, 1]}
+        path = tmp_path / "small_alpha.json"
+        path.write_text(json.dumps(problem))
+        assert run("solve", path, "--verify") == 0
+        parsed = kl_solver.problem_from_json(path.read_text())
+        assert np.array_equal(kl_solver.oracle_solve(parsed).q, kl_solver.solve(parsed).q)
+
     @pytest.mark.parametrize(
         "change, message",
         [

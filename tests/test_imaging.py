@@ -27,6 +27,8 @@ from rate_alloc.imaging import (
 )
 from rate_alloc.synthetic import synthetic_image
 
+BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+
 
 def brute_force_dct2(block):
     """Independent O(B^4) orthonormal DCT-II, straight from the definition."""
@@ -529,3 +531,28 @@ class TestDct:
         blocks = np.random.default_rng(7).random((2, 3, 4, 4))
         assert np.array_equal(dct2_blocks(blocks), dct2_blocks(blocks.reshape(6, 4, 4)))
         assert dct2_blocks(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    # prints each block size whose DCT differs in any bit from one product over a copy of the blocks
+    KERNEL_CHECK = (
+        "import numpy as np\n"
+        "from rate_alloc.imaging import Image, dct2_blocks, dct_matrix, partition\n"
+        "for b in range(2, 41):\n"
+        "    grid = partition(Image(np.random.default_rng(b).random((2 * b + 1, 3 * b))), b)\n"
+        "    m = dct_matrix(b)\n"
+        "    if not np.array_equal(dct2_blocks(grid.blocks), m @ grid.blocks.reshape(-1, b, b) @ m.T):\n"
+        "        print(b)\n"
+    )
+    # each OpenBLAS kernel, with the CPU feature (as numpy names it) it cannot run without
+    KERNELS = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Sandybridge": "AVX"}
+
+    @pytest.mark.skipif("DYNAMIC_ARCH" not in BLAS.get("openblas configuration", ""),
+                        reason="numpy's BLAS is not OpenBLAS built for several kernels")
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_same_bits_under_each_blas_kernel(self, kernel):
+        # the second product's operand is chosen by what the kernel in use does, so check each
+        if not np._core._multiarray_umath.__cpu_features__.get(self.KERNELS[kernel]):
+            pytest.skip(f"this CPU cannot run the {kernel} kernel")
+        env = dict(os.environ, PYTHONPATH=str(Path(imaging.__file__).parents[1]), OPENBLAS_CORETYPE=kernel)
+        result = subprocess.run([sys.executable, "-c", self.KERNEL_CHECK],
+                                env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert result.stdout == ""
