@@ -123,21 +123,18 @@ def cmd_allocate(args) -> int:
 
 
 def _sense(args):
-    """Build the operator, analyze the image once and run the multi-stage plan.
-
-    Returns (image, analysis, operator, plan).
-    """
+    """Build the operator and analyze the image once: (image, analysis, operator, predictor)."""
     image, grid, curve = _grid(args)
     # the stage count, then the operator's seed and size, before the DCT
     multistage.check_stages(grid, args.rate, args.stages)
     matrix = sensing.build_matrix(args.block_size, args.seed)
-    result = analysis.analyze(grid, args.rate, curve)
     predictor = multistage.PREDICTORS[args.predictor]()
-    return image, result, matrix, multistage.simulate(result, args.stages, predictor, matrix)
+    return image, analysis.analyze(grid, args.rate, curve), matrix, predictor
 
 
 def cmd_simulate(args) -> int:
-    image, result, matrix, plan = _sense(args)
+    image, result, matrix, predictor = _sense(args)
+    plan = multistage.simulate(result, args.stages, predictor, matrix)
     grid = result.grid
     recon = sensing.reconstruct_plan(plan, plan.records, matrix, image.height, image.width)
     quality = sensing.psnr(image, recon)
@@ -200,25 +197,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    image, result, matrix, multi = _sense(args)
-    grid = result.grid
+    image, result, matrix, predictor = _sense(args)
 
-    def score(plan, measurements):
-        # single-pass rows are sampled here, so no two rows' samples or reconstructions are alive at once
-        if measurements is None:
-            measurements = sensing.sample_plan(grid, plan.per_block_M, matrix)
-        recon = sensing.reconstruct_plan(plan, measurements, matrix, image.height, image.width)
-        return measurements.counts, sensing.psnr(image, recon)
+    def score(stages, prior=None):
+        # one simulate run per row, reduced to counts and PSNR before the next is built
+        plan = multistage.simulate(result, stages, predictor, matrix, prior)
+        recon = sensing.reconstruct_plan(plan, plan.records, matrix, image.height, image.width)
+        return plan.final_M, sensing.psnr(image, recon)
 
-    rows = [
-        ("uniform", allocation.plan_from_bounds(grid, np.zeros(grid.block_count), args.rate, None), None),
-        ("single-stage", allocation.adaptive_plan(result), None),
-        (f"multi-{args.stages}", multi, multi.records),
-    ]
+    # every row is scored before the table prints, multi-N first so that its error is the one raised
+    multi = score(args.stages)
+    rows = [("uniform", score(1)), ("single-stage", score(1, result.bounds)), (f"multi-{args.stages}", multi)]
     print(f"{'allocation':<14}{'budget':>8}  {'psnr_db':>10}  {'kl_to_bounds':>12}")
     report = []
-    for name, plan, measurements in rows:
-        counts, quality = score(plan, measurements)
+    for name, (counts, quality) in rows:
         budget = int(counts.sum())
         kl = (multistage.kl_diagnostic(result.bounds, counts.astype(np.float64))[1]
               if result.bounds.sum() > 0 else 0.0)

@@ -1,11 +1,12 @@
-"""Multi-stage sampling: uniform first pass, then re-optimized allocations.
+"""Multi-stage sampling: a first pass, then re-optimized allocations.
 
-Stage 1 samples every block at the same rate.  Each later stage t
-predicts a measurement bound per block from the measurements gathered so
-far, turns the predictions into a target ratio p, and solves the
-KL-divergence program to choose how the stage's budget should tilt the
-*cumulative* allocation toward p, given that earlier stages' counts are
-already fixed.  Stage rates follow the catch-up rule
+Stage 1 samples every block at the same rate, or in proportion to a
+prior such as the blocks' bounds.  Each later stage t predicts a
+measurement bound per block from the measurements gathered so far, turns
+the predictions into a target ratio p, and solves the KL-divergence
+program to choose how the stage's budget should tilt the *cumulative*
+allocation toward p, given that earlier stages' counts are already
+fixed.  Stage rates follow the catch-up rule
 
     s_r^t = t * s_r / N - (measurements so far) / (padded pixels),
 
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .allocation import apportion, round_half_up
+from .allocation import apportion, proportional_shares, round_half_up
 from .analysis import Analysis, analyze
 from .imaging import BlockGrid, Image, _frozen, partition
 from .kl_solver import KlAllocProblem, KlAllocSolution, solve
@@ -184,16 +185,19 @@ def simulate(
     stages: int,
     predictor: BoundsPredictor,
     matrix: MeasurementMatrix,
+    prior=None,
 ) -> MultiStagePlan:
     """Run the N-stage protocol end to end and record every measurement.
 
     Each stage shares its catch-up budget out, apportions the shares under
-    the blocks' headroom and samples the rows it adds.  Stage 1 shares
-    equally; a spent stage (budget 0) shares nothing and never predicts;
+    the blocks' headroom and samples the rows it adds.  Stage 1 shares by
+    `proportional_shares(prior, budget)`, so equally with no prior or an
+    all-zero one; a spent stage (budget 0) shares nothing and never predicts;
     any other stage predicts, solves the KL program and shares by its q.
-    N = 1 is plain uniform sampling at the full rate.  The analysis
-    supplies the grid, the rate and the true bounds, which the oracle
-    predictor and the KL diagnostics read.
+    N = 1 is the uniform plan, or with `prior=analysis.bounds` the
+    single-pass plan.  The analysis supplies the grid, the rate and the true
+    bounds, which the oracle predictor and the KL diagnostics read.  A prior
+    that is not a finite nonnegative (blocks,) vector raises ValueError.
     """
     grid, s_r = analysis.grid, analysis.rate
     check_stages(grid, s_r, stages)
@@ -202,6 +206,9 @@ def simulate(
     pixels = grid.padded_pixel_count
     if matrix.dim != dim:
         raise ValueError("operator size does not match the block size")
+    prior = np.zeros(n) if prior is None else np.asarray(prior, dtype=np.float64)
+    if prior.shape != (n,) or not (np.isfinite(prior) & (prior >= 0)).all():
+        raise ValueError(f"stage-1 prior must be a finite nonnegative vector of {n} values")
     true_bounds = analysis.bounds
 
     # every block uses the operator's rows in native order, so column j of `values`
@@ -216,8 +223,7 @@ def simulate(
         budget = round_half_up(rate * pixels)
         predicted = problem = solution = diagnostic = None
         if t == 1:
-            # uniform: per-block baseline floor(s_r^1 * B^2), topped up by apportionment
-            shares, alpha = np.full(n, budget / n), 1.0
+            shares, alpha = proportional_shares(prior, budget), 1.0
         elif budget == 0:
             # budget already spent (rounding overshoot): zero-measurement stage
             shares, alpha = np.zeros(n), 0.0
@@ -243,7 +249,8 @@ def simulate(
         cumulative = cumulative + counts
         top = int(cumulative.max())
         if top > reached:
-            values = np.hstack([values, sample_rows(matrix, reached + 1, top, blocks)])
+            new = sample_rows(matrix, reached + 1, top, blocks)
+            values = np.hstack([values, new]) if reached else new
         stage_states.append(
             StageState(
                 stage_rate=rate,

@@ -5,6 +5,7 @@ import pytest
 
 from rate_alloc import sensing
 from rate_alloc.analysis import bounds_profile, sparsity_profile
+from rate_alloc.imaging import Image, dct_matrix
 from rate_alloc.kl_solver import KlAllocProblem
 from rate_alloc.sensing import build_matrix
 
@@ -51,6 +52,26 @@ def bounds_of(coeff_blocks, threshold):
     coeffs = np.asarray(coeff_blocks, dtype=np.float64)
     k = sparsity_profile(coeffs, threshold).per_block_k
     return bounds_profile(k, coeffs.shape[-1] * coeffs.shape[-2])
+
+
+def planted(rng, rows: int, cols: int, b: int, ks) -> Image:
+    """A rows x cols grid of b x b blocks; block i (row-major) has exactly ks[i] AC coefficients.
+
+    Each block gets ks[i] random DCT positions other than DC, with magnitudes
+    in U[1, 2] and random signs.  The inverse block DCT of those, AC, gives
+    pixels 0.5 + s * AC with s = 0.45 / max|AC|, so every block's DC term is
+    0.5 * b and every other coefficient is rounding noise.
+    """
+    n, dim = rows * cols, b * b
+    coeffs = np.zeros((n, dim))
+    for i, k in enumerate(ks):
+        positions = 1 + rng.choice(dim - 1, size=k, replace=False)
+        coeffs[i, positions] = rng.uniform(1.0, 2.0, k) * rng.choice([-1.0, 1.0], k)
+    m = dct_matrix(b)
+    ac = m.T @ coeffs.reshape(n, b, b) @ m
+    peak = np.abs(ac).max()
+    pixels = 0.5 + (0.45 / peak if peak > 0 else 0.0) * ac
+    return Image(pixels.reshape(rows, cols, b, b).swapaxes(1, 2).reshape(rows * b, cols * b))
 
 
 # operators are read-only records, so one build per (block size, seed) serves the session

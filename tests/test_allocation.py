@@ -35,6 +35,8 @@ class TestProportionalShares:
     def test_weighted(self):
         shares = proportional_shares(np.array([2.0, 1.0, 1.0]), 8)
         assert shares.tolist() == [4.0, 2.0, 2.0]
+        # bounds summing to at most 1 are weights too, not all-zero bounds
+        assert proportional_shares([0.5, 0.25, 0.25], 8).tolist() == [4.0, 2.0, 2.0]
 
     def test_zero_bounds_fall_back_to_uniform(self):
         shares = proportional_shares(np.zeros(3), 9)

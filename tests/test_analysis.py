@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bounds_of
+from conftest import bounds_of, planted
 from rate_alloc import analysis
 from rate_alloc.analysis import (
     Analysis,
@@ -18,7 +18,7 @@ from rate_alloc.analysis import (
     sparsity_profile,
     target_sparsity_ratio,
 )
-from rate_alloc.allocation import proportional_shares
+from rate_alloc.allocation import apportion, proportional_shares
 from rate_alloc.imaging import Image, dct2_blocks, partition
 from rate_alloc.synthetic import KINDS, synthetic_image
 
@@ -339,3 +339,20 @@ class TestAnalyze:
         for rate in (0.0, 1.5):
             with pytest.raises(ValueError):
                 analyze(grid, rate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.sampled_from([4, 8, 16, 32]),
+       rows=st.integers(1, 11), cols=st.integers(1, 11), rate=st.floats(0.02, 0.6))
+def test_analysis_recovers_planted_sparsity(seed, b, rows, cols, rate):
+    # plant the count nearest the target, ties to the larger as the threshold search breaks
+    # them: every block's planted AC count plus its DC term is what analyze returns
+    n, size = rows * cols, rows * cols * b * b
+    target = target_sparsity_ratio(rate)
+    low = int(target * size)
+    total = low + (abs(low / size - target) >= abs((low + 1) / size - target))
+    assume(n <= total)
+    rng = np.random.default_rng(seed)
+    ks = apportion(proportional_shares(rng.random(n), total - n), total - n, b * b - 1)
+    result = analyze(partition(planted(rng, rows, cols, b, ks), b), rate)
+    assert np.array_equal(result.sparsity.per_block_k, ks + 1)

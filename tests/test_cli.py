@@ -365,6 +365,12 @@ class TestCompare:
         budgets = {row["budget"] for row in report}
         assert len(budgets) == 1
 
+    def test_one_stage_row_is_the_uniform_row(self, capsys, cached_operator):
+        assert run("compare", "--synthetic", "gradient", "--rate", 0.2, "--stages", 1) == 0
+        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[1:]}
+        assert list(rows) == ["uniform", "single-stage", "multi-1"]
+        assert rows["multi-1"] == rows["uniform"] != rows["single-stage"]
+
     def test_flat_image_psnrs_close(self, tmp_path, cached_operator):
         out = tmp_path / "cmp"
         rc = run("compare", "--synthetic", "flat", "--rate", 0.1,

@@ -371,6 +371,12 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="operator size does not match the block size"):
             multistage.simulate(result, 2, OracleBoundsPredictor(), matrix32)
 
+    def test_prior_must_be_a_nonnegative_vector_per_block(self, matrix32):
+        result = analyze(partition(synthetic_image("checkerboard"), 32), 0.1)
+        for prior in (np.ones(8), np.ones((9, 1)), -result.bounds, np.full(9, np.nan), np.full(9, np.inf)):
+            with pytest.raises(ValueError, match="stage-1 prior"):
+                multistage.simulate(result, 2, OracleBoundsPredictor(), matrix32, prior)
+
     def test_starved_first_stage_rejected(self, matrix32):
         img = synthetic_image("flat")
         # stage-1 budget round(0.01 * 9216 / 64) = 1 < 9 blocks

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rate_alloc.allocation import uniform_plan
+from rate_alloc.allocation import adaptive_plan, plan_from_bounds, uniform_plan
+from rate_alloc.analysis import analyze
 from rate_alloc.imaging import Image, assemble, partition
-from rate_alloc.multistage import PREDICTORS, run_simulation
+from rate_alloc.multistage import PREDICTORS, run_simulation, simulate
 from rate_alloc.sensing import build_matrix, reconstruct_plan, sample_plan
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -145,3 +146,18 @@ def test_records_hold_only_the_measured_columns(seed, h, w, block, rate, stages,
         padded = adjoint.reshape(grid.rows, grid.cols, block, block).swapaxes(1, 2)
         reference = np.clip(padded.reshape(grid.rows * block, grid.cols * block)[:h, :w], 0.0, 1.0)
         assert np.array_equal(reconstruct_plan(plan, record, matrix, h, w).pixels, reference)
+
+
+@SETTINGS
+@given(seed=seeds, h=sides, w=sides, block=blocks, rate=st.floats(0.01, 1.0))
+def test_one_stage_run_is_the_sampled_single_pass_plan(seed, h, w, block, rate):
+    # no prior samples the uniform plan, the bounds prior the adaptive one: same counts, same bits
+    result = analyze(partition(random_image(seed, h, w), block), rate)
+    grid, matrix = result.grid, operator(block)
+    for prior, plan in ((None, plan_from_bounds(grid, np.zeros(grid.block_count), rate, None)),
+                        (result.bounds, adaptive_plan(result))):
+        run = simulate(result, 1, PREDICTORS["oracle"](), matrix, prior)
+        sampled = sample_plan(grid, plan.per_block_M, matrix)
+        assert np.array_equal(run.final_M, plan.per_block_M)
+        assert run.records.values.shape == sampled.values.shape
+        assert run.records.values.tobytes() == sampled.values.tobytes()
