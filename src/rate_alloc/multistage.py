@@ -185,7 +185,7 @@ def simulate(
     stages: int,
     predictor: BoundsPredictor,
     matrix: MeasurementMatrix,
-    prior=None,
+    prior: Optional[np.ndarray] = None,
 ) -> MultiStagePlan:
     """Run the N-stage protocol end to end and record every measurement.
 

@@ -365,12 +365,6 @@ class TestCompare:
         budgets = {row["budget"] for row in report}
         assert len(budgets) == 1
 
-    def test_one_stage_row_is_the_uniform_row(self, capsys, cached_operator):
-        assert run("compare", "--synthetic", "gradient", "--rate", 0.2, "--stages", 1) == 0
-        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[1:]}
-        assert list(rows) == ["uniform", "single-stage", "multi-1"]
-        assert rows["multi-1"] == rows["uniform"] != rows["single-stage"]
-
     def test_flat_image_psnrs_close(self, tmp_path, cached_operator):
         out = tmp_path / "cmp"
         rc = run("compare", "--synthetic", "flat", "--rate", 0.1,
@@ -383,15 +377,18 @@ class TestCompare:
 
 class TestSharedSensing:
     def test_compare_multi_row_is_the_simulation(self, tmp_path, cached_operator):
-        args = ["--synthetic", "checkerboard", "--rate", 0.1, "--stages", 3, "--seed", 4,
-                "--predictor", "energy", "--out"]
-        assert run("simulate", *args, tmp_path / "sim") == 0
-        assert run("compare", *args, tmp_path / "cmp") == 0
-        simulation = json.loads((tmp_path / "sim" / "simulation.json").read_text())
-        multi = json.loads((tmp_path / "cmp" / "compare.json").read_text())[-1]
-        assert multi["allocation"] == "multi-3"
-        assert multi["budget"] == simulation["total_measurements"]
-        assert multi["psnr_db"] == simulation["psnr_db"]
+        for stages in (3, 1):
+            args = ["--synthetic", "checkerboard", "--rate", 0.1, "--stages", stages, "--seed", 4,
+                    "--predictor", "energy", "--out"]
+            assert run("simulate", *args, tmp_path / f"sim{stages}") == 0
+            assert run("compare", *args, tmp_path / f"cmp{stages}") == 0
+            simulation = json.loads((tmp_path / f"sim{stages}" / "simulation.json").read_text())
+            uniform, single, multi = json.loads((tmp_path / f"cmp{stages}" / "compare.json").read_text())
+            assert multi["allocation"] == f"multi-{stages}"
+            assert multi["budget"] == simulation["total_measurements"]
+            assert multi["psnr_db"] == simulation["psnr_db"]
+        # one stage with no prior is the uniform plan
+        assert {**multi, "allocation": "uniform"} == uniform != {**single, "allocation": "uniform"}
 
     @pytest.mark.parametrize("flag", ["--stages", "--seed", "--predictor"])
     def test_flag_declared_alike(self, flag):

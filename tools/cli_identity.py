@@ -1,6 +1,6 @@
 """Byte-identity sweep of the rate-alloc CLI between two checkouts.
 
-    python3 tools/cli_identity.py PARENT CHANGE [--jobs N] [--quick]
+    python3 tools/cli_identity.py PARENT CHANGE [--quick]
 
 PARENT and CHANGE are two checkouts of this repository.  The script runs
 `analyze`, `allocate`, `simulate` and `compare` from each checkout's
@@ -14,7 +14,8 @@ rates 0.1 and 0.3; both predictors; `--stages` 1 and 3; and, per input,
 an infeasible stage count and a rate of 0, which must fail alike.
 `--quick` keeps the 509x507 and synthetic inputs at B=8 and 16 only.
 Needs only the standard library and numpy; each run is a child process,
-so a checkout's imports never mix with the other's.
+so a checkout's imports never mix with the other's, and two runs go at a
+time.
 """
 
 from __future__ import annotations
@@ -125,15 +126,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--jobs", type=int, default=2, help="runs at a time (default 2)")
     parser.add_argument("--quick", action="store_true", help="a small subset of the sweep")
     args = parser.parse_args(argv)
     checkouts = (args.parent.resolve(), args.change.resolve())
     for checkout in checkouts:
         if not (checkout / "src" / "rate_alloc" / "cli.py").is_file():
             parser.error(f"{checkout} is not a rate-alloc checkout")
-    if args.jobs < 1 or args.jobs > 8:
-        parser.error("--jobs must lie in 1..8")
 
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
         workdir = Path(tmp)
@@ -146,7 +144,7 @@ def main(argv=None) -> int:
             return name, results[0][0], differences(*results)
 
         differing, exits = 0, Counter()
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(2) as pool:
             for name, code, parts in pool.map(compare, enumerate(todo)):
                 exits[code] += 1
                 if parts:
