@@ -51,17 +51,6 @@ def _chunks(count: int, item_bytes: int):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def _grid_chunks(rows: int, cols: int, item_bytes: int):
-    """(row slice, column slice) pairs covering a rows x cols grid of items, as _chunks does.
-
-    A chunk is whole grid rows, or part of one row when a row alone is larger.
-    """
-    step = max(1, _CHUNK // item_bytes)
-    tall = max(1, step // max(cols, 1))  # grid rows per chunk
-    return ((slice(r, r + tall), slice(c, c + step))
-            for r in range(0, rows, tall) for c in range(0, cols, step))
-
-
 @dataclass(frozen=True)
 class Image:
     """A grayscale image: 2-D row-major intensities in [0, 1]."""
@@ -188,12 +177,6 @@ def _stitch(block_rows, b: int, height: int, width: int) -> Image:
     return Image(out)
 
 
-def assemble(grid: BlockGrid) -> Image:
-    """Inverse of :func:`partition`: crop the grid's padding, clamp to [0, 1]."""
-    h, w = grid.padded_height - grid.pad_bottom, grid.padded_width - grid.pad_right
-    return Image(np.clip(grid.pixels[:h, :w], 0.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Orthonormal 2-D DCT
 # ---------------------------------------------------------------------------
@@ -230,12 +213,12 @@ def dct2_blocks(blocks: np.ndarray) -> np.ndarray:
         raise ValueError(f"blocks of shape {blocks.shape} are not a (..., B, B) stack")
     b = blocks.shape[-1]
     m, right = dct_matrix(b), _dct_right(b)
-    # (rows, cols, B, B): a plain (n, B, B) stack is one row of n blocks
-    by_row = blocks.reshape(math.prod(blocks.shape[:-3]), *blocks.shape[-3:])
-    out = np.empty(by_row.shape)
-    # chunk by chunk, the same per-block products as one m @ blocks @ m.T
-    for part in _grid_chunks(*by_row.shape[:2], b * b * by_row.itemsize):
-        np.matmul(m @ by_row[part], right, out=out[part])
+    # whole block rows, (rows, cols, B, B); a plain (n, B, B) stack is n rows of one block
+    rows = blocks if blocks.ndim == 3 else blocks.reshape(math.prod(blocks.shape[:-3]), *blocks.shape[-3:])
+    out = np.empty(rows.shape)
+    # whole rows per chunk, the same per-block products as one m @ blocks @ m.T
+    for part in _chunks(len(rows), math.prod(rows.shape[1:]) * rows.itemsize or 1):
+        np.matmul(m @ rows[part], right, out=out[part])
     return out.reshape(-1, b, b)
 
 

@@ -186,12 +186,6 @@ def _newton(problem: KlAllocProblem, mu: float):
     return float(numer / denom)
 
 
-def _upper_bracket(problem: KlAllocProblem) -> float:
-    """A mu at which every positive-weight coordinate is capped, so Q >= 1."""
-    pos = problem.p > 0
-    return float(((problem.a[pos] + problem.offsets[pos]) / problem.p[pos]).max())
-
-
 def _solution(problem: KlAllocProblem, mu: float, trace: list) -> KlAllocSolution:
     return KlAllocSolution(q=q_of_mu(problem, mu), mu_star=float(mu), trace=tuple(trace))
 
@@ -227,7 +221,7 @@ def solve(problem: KlAllocProblem) -> KlAllocSolution:
 
 def oracle_solve(problem: KlAllocProblem) -> KlAllocSolution:
     """Independent reference solver: bisection on sign(Q - 1) to float resolution; the bracket end with Q nearer 1."""
-    lo, hi = 0.0, _upper_bracket(problem)
+    lo, hi = 0.0, float(problem._kinks[-1])  # every positive-weight coordinate capped: Q >= 1
     trace = []
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         trace.append((mid, BISECTION))

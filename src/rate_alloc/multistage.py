@@ -6,12 +6,12 @@ measurement bound per block from the measurements gathered so far, turns
 the predictions into a target ratio p, and solves the KL-divergence
 program to choose how the stage's budget should tilt the *cumulative*
 allocation toward p, given that earlier stages' counts are already
-fixed.  Stage rates follow the catch-up rule
+fixed.  Every stage's rate, the first's included, follows the catch-up rule
 
-    s_r^t = t * s_r / N - (measurements so far) / (padded pixels),
+    s_r^t = max(t * s_r / N - (measurements so far) / (padded pixels), 0),
 
-so rounding debt from earlier stages is repaid automatically and the
-N-stage total lands on the single-pass budget.
+so stage 1 gets s_r / N, rounding debt from earlier stages is repaid
+automatically and the N-stage total lands on the single-pass budget.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ PREDICTION_FLOOR = 1e-9
 
 
 def stage_rate(t: int, stages: int, s_r: float, allocated_so_far: int, pixels: int) -> float:
-    """Expected rate for stage t given what earlier stages actually spent."""
+    """Expected rate for stage t given what earlier stages actually spent: s_r / N at t = 1."""
     if not (1 <= t <= stages):
         raise ValueError("stage index out of range")
-    if t == 1:
-        return s_r / stages
     return max(t * s_r / stages - allocated_so_far / pixels, 0.0)
 
 
@@ -197,7 +195,8 @@ def simulate(
     N = 1 is the uniform plan, or with `prior=analysis.bounds` the
     single-pass plan.  The analysis supplies the grid, the rate and the true
     bounds, which the oracle predictor and the KL diagnostics read.  A prior
-    that is not a finite nonnegative (blocks,) vector raises ValueError.
+    that is not a finite nonnegative (blocks,) vector raises ValueError, as
+    does one that leaves a block unmeasured when a later stage follows.
     """
     grid, s_r = analysis.grid, analysis.rate
     check_stages(grid, s_r, stages)
@@ -246,6 +245,8 @@ def simulate(
             shares = budget * solution.q
         reached = values.shape[1]
         counts = apportion(shares, budget, dim - cumulative)
+        if t == 1 and stages > 1 and not counts.all():
+            raise ValueError("stage-1 prior leaves a block unmeasured; a later stage needs every block measured")
         cumulative = cumulative + counts
         top = int(cumulative.max())
         if top > reached:

@@ -20,6 +20,7 @@ from rate_alloc.kl_solver import (
     _newton,
     kkt_residual,
     oracle_solve,
+    q_of_mu,
     q_total,
     solve,
 )
@@ -57,6 +58,8 @@ def test_c01_solver_oracle_equivalence(solver_corpus):
     sizes = {p.size for p, _, _, _ in entries}
     assert len(entries) >= 1000
     assert min(sizes) >= 1 and max(sizes) <= 512
+    # about a tenth have no fixed part: alpha = 1, beta = 0
+    assert sum(p.alpha == 1.0 for p, _, _, _ in entries) >= 50
     worst_gap = worst_sum = worst_kkt = 0.0
     for _, sol, ref, residual in entries:
         worst_gap = max(worst_gap, float(np.abs(sol.q - ref.q).max()))
@@ -120,6 +123,8 @@ def test_c04_newton_termination_exactness(solver_corpus):
     entries, _ = solver_corpus
     worst = max(abs(q_total(prob, sol.mu_star) - 1.0) for prob, sol, _, _ in entries)
     assert worst <= 1e-12
+    # the returned q is the closed form at the returned mu, bit for bit
+    assert all(np.array_equal(sol.q, q_of_mu(prob, sol.mu_star)) for prob, sol, _, _ in entries)
     print(f"\ncriterion 4 PASS: {len(entries)} solves, worst |Q-1| {worst:.2e}")
 
 

@@ -377,6 +377,21 @@ class TestRunSimulation:
             with pytest.raises(ValueError, match="stage-1 prior"):
                 multistage.simulate(result, 2, OracleBoundsPredictor(), matrix32, prior)
 
+    def test_prior_must_measure_every_block_before_a_later_stage(self, monkeypatch):
+        # a black block's bound is 0, so sharing stage 1 by the bounds leaves it at 0;
+        # one stage may (the single-pass plan), a later stage's KL program may not
+        pixels = np.random.default_rng(0).random((64, 64))
+        pixels[:16, :16] = 0.0
+        result = analyze(partition(Image(pixels), 16), 0.3)
+        matrix16 = build_matrix(16, 1)
+        assert multistage.simulate(result, 1, OracleBoundsPredictor(), matrix16, result.bounds).final_M[0] == 0
+        calls = []
+        monkeypatch.setattr(multistage, "sample_rows", lambda *args: calls.append(args))
+        for prior in (result.bounds, np.r_[1e-6, np.ones(15)]):
+            with pytest.raises(ValueError, match="a later stage needs every block measured"):
+                multistage.simulate(result, 2, OracleBoundsPredictor(), matrix16, prior)
+        assert calls == []
+
     def test_starved_first_stage_rejected(self, matrix32):
         img = synthetic_image("flat")
         # stage-1 budget round(0.01 * 9216 / 64) = 1 < 9 blocks
@@ -396,6 +411,10 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match=r"at most 1 stage\(s\)"):
             run_simulation(synthetic_image("flat", 8), 8, 0.01, 2, OracleBoundsPredictor(),
                            build_matrix(8, 1))
+        # one 4x4 block at rate 1: round(16 / N) >= 1 up to N = 32, far past 16 / 1.5
+        with pytest.raises(ValueError, match=r"at most 32 stage\(s\)"):
+            run_simulation(Image(np.full((4, 4), 0.5)), 4, 1.0, 33, OracleBoundsPredictor(),
+                           build_matrix(4, 1))
 
     def test_spent_stage_takes_nothing_and_never_predicts(self):
         class Refusing(BoundsPredictor):
@@ -412,6 +431,15 @@ class TestRunSimulation:
         assert spent.predicted_bounds is None and spent.problem is None and spent.solution is None
         assert first.diagnostic is None and spent.diagnostic is None
         assert plan.final_M.tolist() == [1] and plan.records.counts.tolist() == [1]
+
+    def test_headroom_caps_a_later_stage(self):
+        # 1 x 3 blocks of 3x3 at rate 0.5: stage 2 shares its 7 as q ~ [0.92, 0.04, 0.04],
+        # which rounds to 7 for block 0 past its headroom of 9 - 3; the cap moves one on
+        img = Image(np.random.default_rng(184).random((3, 8)) ** 3)
+        plan = run_simulation(img, 3, 0.5, 2, EnergyBoundsPredictor(), build_matrix(3, 1))
+        first, second = plan.stages
+        assert first.stage_M.tolist() == [3, 2, 2] and second.budget == 7
+        assert second.stage_M.tolist() == [6, 1, 0] and plan.final_M.tolist() == [9, 3, 2]
 
     def test_full_rate_saturates_all_blocks(self, matrix32):
         img = synthetic_image("checkerboard")

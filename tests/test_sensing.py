@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ from numpy.linalg import lapack_lite
 
 from rate_alloc import imaging, sensing
 from rate_alloc.allocation import uniform_plan
-from rate_alloc.imaging import Image, assemble, partition
+from rate_alloc.imaging import Image, partition
 from rate_alloc.sensing import (
     Measurements,
     adjoint_reconstruct,
@@ -352,8 +351,7 @@ class TestReconstructPlan:
             at = divmod(i, grid.cols)
             blocks[at] = (rows.T @ (rows @ grid.blocks[at].reshape(-1))).reshape(8, 8)
         pixels = np.clip(blocks, 0, 1).swapaxes(1, 2).reshape(grid.padded_height, grid.padded_width)
-        reference = assemble(dataclasses.replace(grid, pixels=pixels))
-        assert np.abs(recon.pixels - reference.pixels).max() <= 1e-12
+        assert np.abs(recon.pixels - pixels[:27, :19]).max() <= 1e-12
 
 
 class TestPsnr:

@@ -9,7 +9,8 @@ code, stdout, stderr and every file the command writes.  It prints one
 line per run that differs and a summary, and exits 1 if any run differs.
 
 Inputs: seeded texture and cartoon PGMs at 1024x1024, 509x507 and
-501x509, plus the three `--synthetic` kinds; block sizes 8, 16 and 32;
+501x509, a texture at 100x2047, whose B=32 block rows are larger than
+one DCT chunk, plus the three `--synthetic` kinds; block sizes 8, 16 and 32;
 rates 0.1 and 0.3; both predictors; `--stages` 1 and 3; and, per input,
 an infeasible stage count and a rate of 0, which must fail alike.
 `--quick` keeps the 509x507 and synthetic inputs at B=8 and 16 only.
@@ -34,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 SHAPES = ((1024, 1024), (509, 507), (501, 509))
+WIDE = (100, 2047)  # 64 blocks of 32x32 a row, 512 KiB, past imaging._CHUNK
 SYNTHETIC = ("flat", "checkerboard", "gradient")
 BLOCKS = (8, 16, 32)
 RATES = ("0.1", "0.3")
@@ -77,7 +79,7 @@ def inputs(workdir: Path, quick: bool) -> list:
     """(label, source flags) per input image; PGMs are written into workdir."""
     sources = []
     for seed, (kind, make) in enumerate((("texture", texture), ("cartoon", cartoon))):
-        for h, w in SHAPES[1:2] if quick else SHAPES:
+        for h, w in SHAPES[1:2] if quick else SHAPES + ((WIDE,) if kind == "texture" else ()):
             path = workdir / f"{kind}-{h}x{w}.pgm"
             write_pgm(path, make(np.random.default_rng([seed, h, w]), h, w))
             sources.append((path.stem, ("--image", str(path))))
