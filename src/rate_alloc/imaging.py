@@ -130,19 +130,6 @@ def _check_block_size(block_size: int) -> None:
         raise ValueError(f"block size {block_size} is above the limit of {MAX_BLOCK_SIZE}")
 
 
-def _spans(size: int, b: int) -> list:
-    """Split `size` pixels along one axis into the whole blocks and the partial last one.
-
-    Each span pairs an index into a (blocks, B) axis pair, (block, offset in
-    block), with the pixel slice it covers.
-    """
-    whole, rest = divmod(size, b)
-    spans = [((slice(0, whole), slice(None)), slice(0, whole * b))]
-    if rest:
-        spans.append(((whole, slice(0, rest)), slice(whole * b, size)))
-    return spans
-
-
 def partition(image: Image, block_size: int) -> BlockGrid:
     """Cut an image into B x B blocks, zero-padding the bottom/right edges.
 
@@ -161,20 +148,12 @@ def partition(image: Image, block_size: int) -> BlockGrid:
     return BlockGrid(b, rows, cols, rows * b - h, cols * b - w, pixels)
 
 
-def _stitch(block_rows, b: int, height: int, width: int) -> Image:
-    """Clamp rows of blocks to [0, 1] straight into one height x width image.
-
-    `block_rows` yields each (cols, B, B) row of the grid, top to bottom;
-    the grid's padding is cropped as each row is written.
-    """
-    out = np.empty((height, width))
-    for top, row in zip(range(0, height, b), block_rows):
-        strip = out[top : top + b]
-        by_row = row.swapaxes(0, 1)[: len(strip)]  # (pixel rows, cols, B) view
-        for (col, dx), xs in _spans(width, b):
-            part = by_row[:, col, dx]
-            np.clip(part, 0.0, 1.0, out=strip[:, xs].reshape(part.shape))
-    return Image(out)
+def _clamped(pixels: np.ndarray) -> Image:
+    """Freeze a 2-D float64 array already clamped to [0, 1] as an Image, without reading it again."""
+    pixels.setflags(write=False)
+    image = object.__new__(Image)
+    object.__setattr__(image, "pixels", pixels)
+    return image
 
 
 # ---------------------------------------------------------------------------

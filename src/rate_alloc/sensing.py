@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from . import imaging
-from .imaging import BlockGrid, Image, _frozen, _stitch
+from .imaging import BlockGrid, Image, _clamped, _frozen
 
 # the build holds two dim^2 float64 arrays, the rows and their Gram product:
 # 256 MiB at B=64, 4 GiB at B=128
@@ -38,6 +38,8 @@ class MeasurementMatrix:
         rows = _frozen(self.rows)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError(f"operator of shape {rows.shape} is not square")
+        if not (-1.0 <= rows.min(initial=0.0) and rows.max(initial=0.0) <= 1.0):  # as in orthonormal rows
+            raise ValueError("operator entries must be finite and at most 1 in magnitude")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -176,11 +178,12 @@ def reconstruct_plan(plan, measurements: Measurements, matrix: MeasurementMatrix
     `plan` only needs a `grid` attribute, so both single-stage and
     multi-stage plans work.  Values are zero beyond each block's count,
     so a product over the used row prefix is the per-block adjoint of
-    every block.  It runs one block row at a time, and each row is
-    clamped into the one output image while it is in cache.
+    every block.  Block row by block row, one row-sized copy in image
+    order is clamped and cropped into the output, never read again.
     An operator of another block size, a height or width the plan's grid
-    could not have been cut from, or records of another block count or
-    wider than the operator raise ValueError before any product.
+    could not have been cut from, records of another block count or
+    wider than the operator, or a measurement that is NaN, infinite or
+    large enough to overflow a product raise ValueError before any product.
     """
     grid = plan.grid
     b, cols, n = grid.block_size, grid.cols, grid.block_count
@@ -193,16 +196,19 @@ def reconstruct_plan(plan, measurements: Measurements, matrix: MeasurementMatrix
     if values.shape[0] != n or values.shape[1] > b * b:
         raise ValueError(f"measurements of shape {values.shape} do not fit {n} blocks of {b * b} values")
     top = int(measurements.counts.max(initial=0))
+    # as operator entries lie in [-1, 1], no partial sum passes top * max|value|: none overflows, no pixel is NaN
+    used, limit = values[:, :top], np.finfo(np.float64).max / (2 * top + 1)
+    if not (-limit <= used.min(initial=0.0) and used.max(initial=0.0) <= limit):  # NaN fails both
+        raise ValueError(f"measurements must be finite and at most {limit:.3g} in magnitude")
     # numpy takes a one-row product through gemv, which may round unlike the
     # whole product's gemm, so a one-block-wide grid is done in one product
     step = cols if cols > 1 else n
-
-    def block_rows():
-        for start in range(0, n, step):
-            blocks = adjoint_reconstruct(matrix, 1, top, values[start : start + step, :top])
-            yield from blocks.reshape(-1, cols, b, b)
-
-    return _stitch(block_rows(), b, original_h, original_w)
+    out = np.empty((original_h, original_w))
+    for start in range(0, n, step):
+        strip = out[start // cols * b : (start + step) // cols * b]
+        blocks = adjoint_reconstruct(matrix, 1, top, values[start : start + step, :top]).reshape(-1, cols, b, b)
+        np.clip(blocks.swapaxes(1, 2).reshape(-1, cols * b)[: len(strip), :original_w], 0.0, 1.0, out=strip)
+    return _clamped(out)
 
 
 def psnr(reference: Image, estimate: Image) -> float:

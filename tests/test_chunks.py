@@ -199,6 +199,6 @@ class TestPeakMemory:
         for layout in SCENES:
             image, grid, _, matrix, plan, measurements = make_scene(layout)
             peak = peak_bytes(reconstruct_plan, plan, measurements, matrix, image.height, image.width)
-            # the output image, the block row being written and the next row's adjoint
+            # the output image, then a block row's adjoint and its pixel-row copy in image order
             row = grid.cols * BLOCK * BLOCK * 8
             assert peak <= image.pixels.nbytes + 2 * row + SLACK, layout

@@ -117,6 +117,15 @@ class TestBuildMatrix:
             with pytest.raises(ValueError, match="not square"):
                 sensing.MeasurementMatrix(rows)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, np.nextafter(1, 2), np.nextafter(-1, -2)])
+    def test_entry_past_unit_magnitude_rejected(self, matrix8, entry):
+        # reconstruct_plan's overflow bound on the measurements holds for entries in [-1, 1]
+        assert sensing.MeasurementMatrix(np.diag([1.0, -1.0])).dim == 2
+        rows = matrix8.rows.copy()
+        rows[3, 5] = entry
+        with pytest.raises(ValueError, match="operator entries must be finite and at most 1 in magnitude"):
+            sensing.MeasurementMatrix(rows)
+
 
 class TestSampleRows:
     def test_zero_block(self, matrix8):
@@ -315,6 +324,30 @@ class TestReconstructPlan:
         with pytest.raises(ValueError):
             reconstruct_plan(plan, short, matrix32, 96, 96)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e307, -1e307])
+    def test_non_finite_or_overflowing_measurement_rejected_before_the_product(self, matrix8, bad, monkeypatch):
+        img = Image(np.random.default_rng(31).random((16, 24)))
+        plan = uniform_plan(img, 8, 0.5)
+        records = sample_plan(partition(img, 8), plan.per_block_M, matrix8)
+        recon = reconstruct_plan(plan, records, matrix8, 16, 24)
+        assert recon.pixels.dtype == np.float64 and recon.pixels.flags.c_contiguous
+        assert not recon.pixels.flags.writeable
+        # zero columns past the largest count are neither checked nor multiplied
+        wide = Measurements(np.pad(records.values, ((0, 0), (0, 8))), records.counts)
+        assert np.array_equal(reconstruct_plan(plan, wide, matrix8, 16, 24).pixels, recon.pixels)
+        values = records.values.copy()
+        limit = np.finfo(np.float64).max / 65  # 32 values this size sum to under half the largest float
+        values[4, 0], values[5, 0] = limit, -limit
+        recon = reconstruct_plan(plan, Measurements(values.copy(), records.counts), matrix8, 16, 24)
+        assert 0.0 <= recon.pixels.min() and recon.pixels.max() <= 1.0
+        values[4, records.counts[4] - 1] = bad  # inside block 4's count
+        calls = counted_adjoint(monkeypatch)
+        # 1e307 is finite, but 32 terms that size can overflow a sum, and two blocked partial
+        # sums that overflow with opposite signs add to NaN, which the clamp would keep
+        with pytest.raises(ValueError, match="measurements must be finite and at most 2.77e\\+306"):
+            reconstruct_plan(plan, Measurements(values, records.counts), matrix8, 16, 24)
+        assert calls == []
+
     def test_size_inconsistent_with_plan_rejected(self, matrix8, monkeypatch):
         img = Image(np.zeros((16, 16)))
         plan = uniform_plan(img, 8, 0.5)
@@ -327,15 +360,15 @@ class TestReconstructPlan:
         assert calls == []  # rejected before the adjoint product
 
     def test_operator_of_another_block_size_rejected_before_the_product(self, matrix8, monkeypatch):
-        img = Image(np.zeros((16, 16)))
+        img = Image(np.zeros((16, 8)))  # two blocks wide: still one product per block row
         plan = uniform_plan(img, 4, 0.5)
         matrix4 = build_matrix(4, 1)
         records = sample_plan(partition(img, 4), plan.per_block_M, matrix4)
         calls = counted_adjoint(monkeypatch)
         with pytest.raises(ValueError, match="operator of size 64 does not fit 4x4 blocks"):
-            reconstruct_plan(plan, records, matrix8, 16, 16)
+            reconstruct_plan(plan, records, matrix8, 16, 8)
         assert calls == []
-        reconstruct_plan(plan, records, matrix4, 16, 16)
+        reconstruct_plan(plan, records, matrix4, 16, 8)
         assert len(calls) == plan.grid.rows  # one product per block row
 
     def test_matches_per_block_adjoint(self, matrix8):

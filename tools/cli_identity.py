@@ -10,7 +10,9 @@ line per run that differs and a summary, and exits 1 if any run differs.
 
 Inputs: seeded texture and cartoon PGMs at 1024x1024, 509x507 and
 501x509, a texture at 100x2047, whose B=32 block rows are larger than
-one DCT chunk, plus the three `--synthetic` kinds; block sizes 8, 16 and 32;
+one DCT chunk, a texture at 1000x20, one block wide at B=32 and with a
+partial last block column at B=8 and 16, plus the three `--synthetic`
+kinds; block sizes 8, 16 and 32;
 rates 0.1 and 0.3; both predictors; `--stages` 1 and 3; and, per input,
 an infeasible stage count and a rate of 0, which must fail alike.
 `--quick` keeps the 509x507 and synthetic inputs at B=8 and 16 only.
@@ -36,6 +38,7 @@ import numpy as np
 
 SHAPES = ((1024, 1024), (509, 507), (501, 509))
 WIDE = (100, 2047)  # 64 blocks of 32x32 a row, 512 KiB, past imaging._CHUNK
+NARROW = (1000, 20)  # one partial block column at B=32: reconstructed in one product, then cropped
 SYNTHETIC = ("flat", "checkerboard", "gradient")
 BLOCKS = (8, 16, 32)
 RATES = ("0.1", "0.3")
@@ -79,7 +82,7 @@ def inputs(workdir: Path, quick: bool) -> list:
     """(label, source flags) per input image; PGMs are written into workdir."""
     sources = []
     for seed, (kind, make) in enumerate((("texture", texture), ("cartoon", cartoon))):
-        for h, w in SHAPES[1:2] if quick else SHAPES + ((WIDE,) if kind == "texture" else ()):
+        for h, w in SHAPES[1:2] if quick else SHAPES + ((WIDE, NARROW) if kind == "texture" else ()):
             path = workdir / f"{kind}-{h}x{w}.pgm"
             write_pgm(path, make(np.random.default_rng([seed, h, w]), h, w))
             sources.append((path.stem, ("--image", str(path))))
