@@ -24,9 +24,6 @@ from rate_alloc.synthetic import KINDS, synthetic_image
 
 
 class TestCurve:
-    def test_anchor_is_exact(self):
-        assert target_sparsity_ratio(0.01, DEFAULT_CURVE) == 0.005
-
     def test_formula_value(self):
         # direct evaluation: 0.0444 * ln(78.77 * 0.09 + 1) + 0.005
         assert target_sparsity_ratio(0.1, DEFAULT_CURVE) == pytest.approx(

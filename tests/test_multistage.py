@@ -291,15 +291,18 @@ class TestKlDiagnostic:
 class TestRunSimulation:
     def test_single_stage_equals_uniform_plan(self, matrix32):
         img = synthetic_image("checkerboard")
-        plan = run_simulation(img, 32, 0.1, 1, OracleBoundsPredictor(), matrix32)
-        uniform = uniform_plan(img, 32, 0.1)
-        assert np.array_equal(plan.final_M, uniform.per_block_M)
-        assert plan.total_measurements == uniform.total_budget
+        for rate in (0.1, 0.3):
+            plan = run_simulation(img, 32, rate, 1, OracleBoundsPredictor(), matrix32)
+            uniform = uniform_plan(img, 32, rate)
+            assert np.array_equal(plan.final_M, uniform.per_block_M)
+            assert plan.total_measurements == uniform.total_budget
 
     def test_records_are_row_prefixes(self, matrix32):
-        img = synthetic_image("gradient")
-        for predictor in (OracleBoundsPredictor(), EnergyBoundsPredictor()):
-            plan = run_simulation(img, 32, 0.3, 5, predictor, matrix32)
+        runs = [("gradient", 5, OracleBoundsPredictor()), ("gradient", 5, EnergyBoundsPredictor())]
+        runs += [("checkerboard", stages, OracleBoundsPredictor()) for stages in (2, 5, 8)]
+        for kind, stages, predictor in runs:
+            img = synthetic_image(kind)
+            plan = run_simulation(img, 32, 0.3, stages, predictor, matrix32)
             records = plan.records
             assert plan.final_M is records.counts
             assert records.counts.max() <= 1024
@@ -398,6 +401,9 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="block count"):
             run_simulation(img, 32, 0.01, 64, OracleBoundsPredictor(), matrix32)
         # the stage check runs before the analysis, so it checks the rate itself
+        for rate in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"sampling rate must lie in \(0, 1\]"):
+                multistage.check_stages(partition(img, 32), rate, 2)
         with pytest.raises(ValueError, match=r"sampling rate must lie in \(0, 1\]"):
             run_simulation(img, 32, 1.5, 2, OracleBoundsPredictor(), matrix32)
 

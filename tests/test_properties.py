@@ -7,7 +7,6 @@ the documented error rather than failing some other way.
 """
 
 import math
-from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,21 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import operator
 from rate_alloc.allocation import adaptive_plan, plan_from_bounds, uniform_plan
 from rate_alloc.analysis import analyze
 from rate_alloc.imaging import Image, partition
 from rate_alloc.multistage import PREDICTORS, run_simulation, simulate
-from rate_alloc.sensing import build_matrix, reconstruct_plan, sample_plan
+from rate_alloc.sensing import reconstruct_plan, sample_plan
 
 SETTINGS = settings(max_examples=60, deadline=None)
 blocks = st.sampled_from([2, 4, 8])
 sides = st.integers(1, 41)
 seeds = st.integers(0, 2**32 - 1)
-
-
-@cache
-def operator(block):
-    return build_matrix(block, 1)
 
 
 def random_image(seed, h, w) -> Image:
@@ -42,7 +37,7 @@ def round_half_up(x: float) -> int:
 
 @SETTINGS
 @given(seed=seeds, h=sides, w=sides, block=blocks)
-def test_partition_assemble_round_trip(seed, h, w, block):
+def test_partition_round_trip(seed, h, w, block):
     # cropping the grid's zero padding gives the image back
     image = random_image(seed, h, w)
     pixels = partition(image, block).pixels
@@ -55,7 +50,7 @@ def test_partition_assemble_round_trip(seed, h, w, block):
 def test_batched_reconstruction_matches_per_block_adjoint(seed, h, w, block):
     image = random_image(seed, h, w)
     grid = partition(image, block)
-    matrix = operator(block)
+    matrix = operator(block, 1)
     counts = np.random.default_rng(seed).integers(0, matrix.dim + 1, size=grid.block_count)
     plan = SimpleNamespace(grid=grid)
     recon = reconstruct_plan(plan, sample_plan(grid, counts, matrix), matrix, h, w)
@@ -77,7 +72,7 @@ def test_simulation_invariants(seed, h, w, block, rate, stages, predictor):
     image = random_image(seed, h, w)
     grid = partition(image, block)
     n, dim, pixels = grid.block_count, block * block, grid.padded_pixel_count
-    matrix = operator(block)
+    matrix = operator(block, 1)
 
     def simulate():
         return run_simulation(image, block, rate, stages, PREDICTORS[predictor](), matrix)
@@ -127,7 +122,7 @@ def test_records_hold_only_the_measured_columns(seed, h, w, block, rate, stages,
     image = random_image(seed, h, w)
     grid = partition(image, block)
     n, dim = grid.block_count, block * block
-    matrix = operator(block)
+    matrix = operator(block, 1)
     counts = np.random.default_rng(seed).integers(0, dim + 1, size=n)
     records = [sample_plan(grid, counts, matrix)]
     if stages == 1 or round_half_up(rate / stages * grid.padded_pixel_count) >= n:
@@ -155,7 +150,7 @@ def test_records_hold_only_the_measured_columns(seed, h, w, block, rate, stages,
 def test_one_stage_run_is_the_sampled_single_pass_plan(seed, h, w, block, rate):
     # no prior samples the uniform plan, the bounds prior the adaptive one: same counts, same bits
     result = analyze(partition(random_image(seed, h, w), block), rate)
-    grid, matrix = result.grid, operator(block)
+    grid, matrix = result.grid, operator(block, 1)
     for prior, plan in ((None, plan_from_bounds(grid, np.zeros(grid.block_count), rate, None)),
                         (result.bounds, adaptive_plan(result))):
         run = simulate(result, 1, PREDICTORS["oracle"](), matrix, prior)

@@ -159,26 +159,6 @@ class TestAdjoint:
         back = adjoint_reconstruct(matrix8, 1, 0, np.empty((1, 0)))
         assert back.shape == (1, 64) and not back.any()
 
-    def test_projection_idempotent(self, matrix8):
-        rng = np.random.default_rng(53)
-        for _ in range(25):
-            x = rng.standard_normal((1, 64))
-            lo = int(rng.integers(1, 60))
-            hi = int(rng.integers(lo, 65))
-            once = adjoint_reconstruct(matrix8, lo, hi, sample_rows(matrix8, lo, hi, x))
-            twice = adjoint_reconstruct(matrix8, lo, hi, sample_rows(matrix8, lo, hi, once))
-            assert np.abs(once - twice).max() <= 1e-9
-
-    def test_pythagoras(self, matrix8):
-        rng = np.random.default_rng(54)
-        for _ in range(25):
-            x = rng.standard_normal((1, 64))
-            m = int(rng.integers(0, 65))
-            xh = adjoint_reconstruct(matrix8, 1, m, sample_rows(matrix8, 1, m, x))
-            lhs = (x**2).sum()
-            rhs = (xh**2).sum() + ((x - xh) ** 2).sum()
-            assert lhs == pytest.approx(rhs, abs=1e-9)
-
     def test_error_monotone_in_rows(self, matrix8):
         rng = np.random.default_rng(55)
         x = rng.standard_normal((1, 64))
@@ -197,9 +177,10 @@ class TestAdjoint:
         operators = [build_matrix(4, seed=3), matrix8, matrix32]
         for matrix in operators:
             dim = matrix.dim
-            for _ in range(100):
+            for pair in range(150):
                 x = rng.standard_normal((1, dim))
-                lo = int(rng.integers(1, dim + 1))
+                # past the first hundred, prefixes [1, m]: the rows a run samples and adjoins
+                lo = 1 if pair >= 100 else int(rng.integers(1, dim + 1))
                 hi = int(rng.integers(lo - 1, dim + 1))
                 y = sample_rows(matrix, lo, hi, x)
                 xh = adjoint_reconstruct(matrix, lo, hi, y)
